@@ -1,9 +1,21 @@
 import json
+import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from genuskit.cosets import direct_product, double_coset_count, subgroup_closure
 from genuskit.errors import InternalInconsistencyError, ResourceLimitError
-from genuskit.matrices import MatModM
+from genuskit.matrices import (
+    MatModM,
+    det,
+    elementary_generators,
+    enumerate_gl,
+    stable_image,
+)
 from genuskit.orders import (
     GenusResult,
     OrderSpec,
@@ -125,23 +137,6 @@ class TestSubringClosure:
         with pytest.raises(ResourceLimitError):
             subring_closure(matrix_units_spec(7), cap=100)
 
-    def test_tuple_fallback_matches_array_path(self, monkeypatch):
-        spec = spec_1x1(9, [(1, 4), (3, 0)])
-        fast = subring_closure(spec)
-        # pretend the module is too wide to encode; forces the tuple route
-        import genuskit.orders as orders_mod
-
-        shape = orders_mod._shape(9, (1, 1))
-        monkeypatch.setattr(
-            orders_mod, "_shape", lambda m, blocks: orders_mod._Shape(
-                m=shape.m, blocks=shape.blocks, offsets=shape.offsets,
-                width=shape.width, ambient=shape.ambient, encodable=False,
-                weights=shape.weights,
-            )
-        )
-        slow = subring_closure(spec)
-        assert fast == slow
-
 
 class TestSubringUnits:
     def test_scalars(self):
@@ -167,6 +162,20 @@ class TestSubringUnits:
         for a in group.carrier:
             for b in group.carrier:
                 assert group.op(a, b) in group.carrier
+
+    def test_block_dets_match_cofactor_det(self):
+        # m = 1.7e9 - 1 is the top of the documented int64-exact range
+        rng = random.Random(5)
+        for blocks, m in [((1, 2, 3, 4), 12), ((3, 3), 7), ((2, 3), 1_699_999_999)]:
+            tuples = [
+                [MatModM(m, r, [rng.randrange(m) for _ in range(r * r)])
+                 for r in blocks]
+                for _ in range(50)
+            ]
+            rows = np.array([[e for mat in t for e in mat.entries] for t in tuples])
+            expected = [[det(mat).value for mat in t] for t in tuples]
+            got = orders._block_dets(orders._shape(m, blocks), rows)
+            assert got.tolist() == expected
 
     def test_requires_identity(self):
         with pytest.raises(ValueError):
@@ -258,10 +267,32 @@ class TestGenus:
         assert genus(at_8).total == genus(at_16).total == 2
 
     def test_cap_propagates(self):
+        # the cap bounds only the subring, which has 6 elements here
+        assert genus(OrderSpec(m=6, blocks=(3,), generators=())).total == 1
         with pytest.raises(ResourceLimitError):
-            genus(OrderSpec(m=6, blocks=(3,), generators=()))
+            genus(matrix_units_spec(7), cap=100)
         with pytest.raises(ResourceLimitError):
             genus(pullback_spec(30), cap=3)
+
+    def test_cap_boundary_is_subring_size(self):
+        assert genus(pullback_spec(30), cap=30).total == 4
+        with pytest.raises(ResourceLimitError):
+            genus(pullback_spec(30), cap=29)
+
+    def test_scalar_3x3_block_mod7(self):
+        # cube determinants of scalar units are {1, 6} = {+-1} mod 7, so the
+        # count is phi(7) / 2 = 3 although the ambient ring has 7^9 elements
+        assert genus(OrderSpec(m=7, blocks=(3,), generators=())).total == 3
+
+    @pytest.mark.parametrize("m, r", [(2, 9), (2, 12), (1, 5), (1, 8)])
+    def test_block_above_det_limit_fails_fast(self, monkeypatch, m, r):
+        def no_closure(*args):
+            raise AssertionError("closure started")
+
+        monkeypatch.setattr(orders, "_closure", no_closure)
+        spec = OrderSpec(m=m, blocks=(1, r), generators=())
+        with pytest.raises(ResourceLimitError, match=f"size {r}"):
+            genus(spec)
 
     def test_bound_violation_raises_internal_error(self, monkeypatch):
         monkeypatch.setattr(orders, "genus_relative", lambda spec, cap: 99)
@@ -270,7 +301,7 @@ class TestGenus:
 
 
 class TestRouteAgreement:
-    def test_generic_and_coset_action_agree(self, monkeypatch):
+    def test_determinant_route_matches_engine(self):
         specs = [
             pullback_spec(7),
             pullback_spec(12),
@@ -280,10 +311,13 @@ class TestRouteAgreement:
             OrderSpec(m=8, blocks=(2, 1), generators=()),
             matrix_units_spec(5),
         ]
-        generic = [genus_relative(s) for s in specs]
-        monkeypatch.setattr(orders, "_GENERIC_GROUP_LIMIT", 0)
-        fast = [genus_relative(s) for s in specs]
-        assert generic == fast
+        # every (shape, level) pair whose unit group has at most ~10k elements
+        combos = [(b, m) for b in ((1, 1), (2,), (1, 1, 1)) for m in (8, 9, 10, 12)]
+        combos += [((1, 2), 8), ((2, 1), 8)]
+        rng = random.Random(2024)
+        specs += [random_spec(rng, m, blocks) for blocks, m in combos]
+        for spec in specs:
+            assert genus_relative(spec) == engine_genus(spec), spec
 
     def test_mixed_blocks_scalar_subring(self):
         # blocks (2, 1) at m=8 with only scalar tuples: unit determinants of
@@ -294,14 +328,77 @@ class TestRouteAgreement:
         assert result.total == 2
         assert result.bound == 4
 
-    def test_wide_module_takes_tuple_route(self):
-        # 62 rank-one blocks mod 2 exceed the integer encoding range, forcing
-        # the tuple-set closure; the ambient unit group is trivial
-        spec = OrderSpec(m=2, blocks=(1,) * 62, generators=())
-        import genuskit.orders as orders_mod
+    def test_wide_scalar_modules(self):
+        # scalar subrings in many rank-one blocks; the join det(K) * {+-1}^k
+        # has up to 2^70 elements and must never be built
+        assert genus(OrderSpec(m=2, blocks=(1,) * 62, generators=())).total == 1
+        assert genus(OrderSpec(m=3, blocks=(1,) * 70, generators=())).total == 1
+        spec = OrderSpec(m=5, blocks=(1,) * 30, generators=())
+        assert genus(spec).total == 2**29
 
-        assert not orders_mod._shape(2, (1,) * 62).encodable
-        assert genus(spec).total == 1
+
+def random_spec(rng, m, blocks, n_gens=None):
+    """Generators c*1 + d*X with X dense, upper triangular or diagonal and
+    d a divisor of m; d > 1 or a sparse X gives proper subrings."""
+    if n_gens is None:
+        n_gens = rng.randint(1, 2)
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    gens = []
+    for _ in range(n_gens):
+        c, d = rng.randrange(m), rng.choice(divisors)
+        keep = rng.choice([
+            lambda i, j: True, lambda i, j: i <= j, lambda i, j: i == j,
+        ])
+        gens.append(tuple(
+            MatModM(m, r, tuple(
+                c * (i == j) + d * rng.randrange(m) * keep(i, j)
+                for i in range(r) for j in range(r)
+            ))
+            for r in blocks
+        ))
+    return OrderSpec(m=m, blocks=blocks, generators=tuple(gens))
+
+
+def nest(parts):
+    # direct_product pairs left to right: (a, b, c) -> ((a, b), c)
+    out = parts[0]
+    for x in parts[1:]:
+        out = (out, x)
+    return out
+
+
+def product_group(groups):
+    out = groups[0]
+    for g in groups[1:]:
+        out = direct_product(out, g)
+    return out
+
+
+def generating_set(group, sub):
+    gens, closed = [], frozenset({group.identity})
+    for x in sub:
+        if x not in closed:
+            gens.append(x)
+            closed = subgroup_closure(group, gens)
+    return gens
+
+
+def engine_genus(spec):
+    """H \\ U / K counted by the generic engine from public pieces only."""
+    m, blocks = spec.m, spec.blocks
+    u = product_group([enumerate_gl(r, m) for r in blocks])
+    h = product_group([stable_image(r, m) for r in blocks]).carrier
+    ident = [MatModM.identity(r, m) for r in blocks]
+    h_gens = [
+        nest(ident[:i] + [g] + ident[i + 1 :])
+        for i, r in enumerate(blocks)
+        for g in elementary_generators(r, m)
+    ]
+    units = subring_units(subring_closure(spec), m, blocks)
+    k = frozenset(nest(list(t)) for t in units.carrier)
+    return double_coset_count(
+        u, h, k, h_gens=h_gens, k_gens=generating_set(u, k)
+    )
 
 
 def brute_subring_closure(spec):
@@ -450,3 +547,70 @@ class TestSubringUnitsValidation:
         bad = (MatModM(5, 2, (1, 0, 0, 1)),)
         with pytest.raises(ValueError, match="does not match"):
             subring_units({good, bad}, 5, (1,))
+
+
+SHAPES = [(1,), (1, 1), (2,), (1, 2), (1, 1, 1)]
+
+
+@st.composite
+def order_specs(draw, levels, shapes=SHAPES):
+    m = draw(st.sampled_from(levels))
+    blocks = draw(st.sampled_from(shapes))
+    rng = draw(st.randoms(use_true_random=False))
+    return random_spec(rng, m, blocks, n_gens=draw(st.integers(0, 2)))
+
+
+@lru_cache(maxsize=None)
+def gl_elements(r, m):
+    return sorted(enumerate_gl(r, m).carrier, key=lambda a: a.entries)
+
+
+def mat_inverse(a):
+    # a^-1 = a^(n-1) where a^n is the identity
+    identity = MatModM.identity(a.size, a.modulus)
+    prev, x = identity, a
+    while x != identity:
+        prev, x = x, x * a
+    return prev
+
+
+class TestGenusInvariance:
+    @given(spec=order_specs(levels=range(3, 13)), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_conjugation_by_a_unit(self, spec, data):
+        g = tuple(
+            data.draw(st.sampled_from(gl_elements(r, spec.m))) for r in spec.blocks
+        )
+        g_inv = tuple(mat_inverse(x) for x in g)
+        conjugated = OrderSpec(
+            m=spec.m,
+            blocks=spec.blocks,
+            generators=tuple(
+                tuple(a * x * b for a, x, b in zip(g, tup, g_inv))
+                for tup in spec.generators
+            ),
+        )
+        assert genus(conjugated).total == genus(spec).total
+
+    @given(spec=order_specs(levels=range(3, 13)), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_redundant_generator(self, spec, data):
+        gens = spec.generators or (spec.identity_tuple(),)
+        x = data.draw(st.sampled_from(gens))
+        y = data.draw(st.sampled_from(gens))
+        if data.draw(st.booleans()):
+            extra = tuple(a * b for a, b in zip(x, y))
+        else:
+            extra = tuple(
+                MatModM(spec.m, a.size, tuple(map(sum, zip(a.entries, b.entries))))
+                for a, b in zip(x, y)
+            )
+        bigger = OrderSpec(
+            m=spec.m, blocks=spec.blocks, generators=spec.generators + (extra,)
+        )
+        assert genus(bigger).total == genus(spec).total
+
+    @given(spec=order_specs(levels=[1, 2], shapes=SHAPES + [(3,), (2, 2)]))
+    @settings(max_examples=40, deadline=None)
+    def test_levels_one_and_two_have_genus_one(self, spec):
+        assert genus(spec).total == 1
