@@ -1,20 +1,24 @@
 """Square matrices over Z/m: products, determinants, GL(r, Z/m) and the
 subgroup generated by elementary matrices (the mod-m image of the global
-unit group of the integer matrix ring).
+unit group of the integer matrix ring), plus the int64 row kernel that the
+enumerations and :mod:`genuskit.orders` share.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .cosets import FiniteGroup
 from .errors import ResourceLimitError
 from .rings import Residue
 
-# Enumerations refuse to scan more than this many candidate elements.
+# Default cap.  For enumerate_gl and stable_image it bounds m^(r^2), the
+# number of candidate matrices scanned and of entries in the visited map; for
+# orders.genus and orders.subring_closure it bounds the number of subring
+# elements, and hence m, since the subring holds all m scalars.
 DEFAULT_CAP = 2_000_000
 
 # Determinants use cofactor expansion, which is exact over Z/m for composite
@@ -127,75 +131,137 @@ def elementary_generators(r: int, m: int) -> list[MatModM]:
         raise ValueError(f"matrix size must be >= 1, got {r}")
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    if r == 1:
-        return [MatModM(m, 1, ((m - 1) % m,))]
-    gens = []
-    for i in range(r):
-        for j in range(r):
-            if i == j:
-                continue
-            flat = [1 if p == q else 0 for p in range(r) for q in range(r)]
-            flat[i * r + j] = 1
-            gens.append(MatModM(m, r, tuple(flat)))
-    diag = [1 if p == q else 0 for p in range(r) for q in range(r)]
-    diag[0] = m - 1
-    gens.append(MatModM(m, r, tuple(diag)))
-    return gens
 
+    def identity_with(pos: int, value: int) -> MatModM:
+        flat = [int(p == q) for p in range(r) for q in range(r)]
+        flat[pos] = value
+        return MatModM(m, r, flat)
 
-def _flat_mul_fn(r: int, m: int):
-    """Specialized multiplier for flat row-major tuples of one fixed shape."""
-    pairs = [
-        tuple((i * r + t, t * r + j) for t in range(r))
-        for i in range(r)
-        for j in range(r)
+    transvections = [
+        identity_with(i * r + j, 1) for i in range(r) for j in range(r) if i != j
     ]
-
-    def mul(x, y):
-        return tuple(sum(x[a] * y[b] for a, b in pos) % m for pos in pairs)
-
-    return mul
+    return transvections + [identity_with(0, m - 1)]
 
 
-@lru_cache(maxsize=None)
-def _unit_values(m: int) -> frozenset:
-    return frozenset(k for k in range(m) if math.gcd(k, m) == 1)
+# -- row kernel ---------------------------------------------------------------
+#
+# Internally an element of prod_i Mat(r_i, Z/m) is one numpy int64 row: the
+# row-major entries of every block, concatenated, reduced into 0..m-1.
+# MatModM appears only at the public boundary; mat_mul and det stay as the
+# exact Python-int references.  Rows are handled _CHUNK at a time, so that
+# temporaries stay small whatever the size of the group.
+_CHUNK = 1 << 15
 
 
-@lru_cache(maxsize=16)
-def _gl_flat(r: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """All invertible flat matrices mod m, sorted row-major."""
-    invertible = _unit_values(m)
-    return tuple(
-        sorted(
-            t
-            for t in itertools.product(range(m), repeat=r * r)
-            if _det_flat(t, r, m) in invertible
-        )
-    )
+@dataclass(frozen=True)
+class _Shape:
+    m: int
+    blocks: tuple[int, ...]
+    offsets: tuple[int, ...]
+    width: int
 
 
-@lru_cache(maxsize=16)
-def _elementary_flat(r: int, m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(g.entries for g in elementary_generators(r, m))
+@lru_cache(maxsize=64)
+def _shape(m: int, blocks: tuple[int, ...]) -> _Shape:
+    sizes = [r * r for r in blocks]
+    offsets = tuple(sum(sizes[:i]) for i in range(len(sizes)))
+    return _Shape(m=m, blocks=blocks, offsets=offsets, width=sum(sizes))
 
 
-@lru_cache(maxsize=16)
-def _stable_flat(r: int, m: int) -> frozenset:
-    """Closure of the elementary generators under flat multiplication."""
-    mul = _flat_mul_fn(r, m)
-    gens = _elementary_flat(r, m)
-    identity = MatModM.identity(r, m).entries
-    closed = {identity}
-    stack = [identity]
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            y = mul(x, g)
-            if y not in closed:
-                closed.add(y)
-                stack.append(y)
-    return frozenset(closed)
+@lru_cache(maxsize=64)
+def _unit_lut(m: int) -> np.ndarray:
+    """Entry v is True when v is a unit mod m."""
+    return np.gcd(np.arange(m, dtype=np.int64), m) == 1
+
+
+def _mul_rows(shape: _Shape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Blockwise products mod m of two broadcastable int64 arrays of reduced
+    rows.  An entry of a product sums r terms below (m-1)^2, so the result
+    is exact in int64 while r*(m-1)^2 < 2^63 for the largest block size r.
+    """
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.empty(lead + (shape.width,), dtype=np.int64)
+    for r, off in zip(shape.blocks, shape.offsets):
+        x = a[..., off : off + r * r].reshape(a.shape[:-1] + (r, r))
+        y = b[..., off : off + r * r].reshape(b.shape[:-1] + (r, r))
+        out[..., off : off + r * r] = (x @ y).reshape(lead + (r * r,)) % shape.m
+    return out
+
+
+def _block_dets(shape: _Shape, rows: np.ndarray) -> np.ndarray:
+    """Blockwise determinants mod m, one column per block.
+
+    Intermediate products stay below 3*m^2, exact in int64 while m is below
+    1.7e9; blocks of size 4 fall back to the exact Python-int expansion.
+    """
+    m = shape.m
+    out = np.empty((len(rows), len(shape.blocks)), dtype=np.int64)
+    for col, (r, off) in enumerate(zip(shape.blocks, shape.offsets)):
+        if r == 1:
+            out[:, col] = rows[:, off] % m
+        elif r == 2:
+            out[:, col] = (rows[:, off] * rows[:, off + 3]
+                           - rows[:, off + 1] * rows[:, off + 2]) % m
+        elif r == 3:
+            a, b, c, d, e, f, g, h, i = (rows[:, off + t] for t in range(9))
+            out[:, col] = (a * ((e * i - f * h) % m) - b * ((d * i - f * g) % m)
+                           + c * ((d * h - e * g) % m)) % m
+        else:
+            out[:, col] = [
+                _det_flat(row[off : off + r * r], r, m) for row in rows.tolist()
+            ]
+    return out
+
+
+def _decode(codes: np.ndarray, r: int, m: int) -> np.ndarray:
+    """Rows of the r x r matrices whose base-m codes are given: a code reads
+    the row as r^2 digits, the first entry most significant."""
+    place = m ** np.arange(r * r - 1, -1, -1, dtype=np.int64)
+    return codes[:, None] // place % m
+
+
+def _gl_flat(r: int, m: int) -> np.ndarray:
+    """Ascending codes of the invertible r x r matrices mod m, found by a
+    determinant filter over slabs of all m^(r^2) codes."""
+    shape = _shape(m, (r,))
+    units = _unit_lut(m)
+    total = m ** (r * r)
+    kept = []
+    for lo in range(0, total, _CHUNK):
+        codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        kept.append(codes[units[_block_dets(shape, _decode(codes, r, m))[:, 0]]])
+    return np.concatenate(kept)
+
+
+def _stable_flat(r: int, m: int) -> np.ndarray:
+    """Ascending codes of the closure of the elementary generators: a
+    frontier search that right-multiplies each frontier by all generators.
+    What was reached is marked in a boolean map over all m^(r^2) codes,
+    which _check_scan_cap bounds."""
+    shape = _shape(m, (r,))
+    place = m ** np.arange(r * r - 1, -1, -1, dtype=np.int64)
+    gens = np.array([g.entries for g in elementary_generators(r, m)])
+    seen = np.zeros(m ** (r * r), dtype=bool)
+    frontier = np.array([MatModM.identity(r, m).entries]) @ place
+    seen[frontier] = True
+    while len(frontier):
+        reached = []
+        for lo in range(0, len(frontier), _CHUNK):
+            rows = _decode(frontier[lo : lo + _CHUNK], r, m)
+            codes = _mul_rows(shape, rows[:, None], gens) @ place
+            new = np.unique(codes[~seen[codes]])
+            seen[new] = True
+            reached.append(new)
+        frontier = np.concatenate(reached)
+    return np.flatnonzero(seen)
+
+
+def _group(codes: np.ndarray, r: int, m: int, name: str) -> FiniteGroup:
+    """The group of the matrices with these codes, decoded a chunk at a time."""
+    chunks = (_decode(codes[lo : lo + _CHUNK], r, m).tolist()
+              for lo in range(0, len(codes), _CHUNK))
+    carrier = frozenset(MatModM(m, r, row) for rows in chunks for row in rows)
+    return FiniteGroup(carrier, mat_mul, MatModM.identity(r, m), name=name)
 
 
 def _check_scan_cap(r: int, m: int, cap: int) -> None:
@@ -214,10 +280,7 @@ def _check_scan_cap(r: int, m: int, cap: int) -> None:
 def enumerate_gl(r: int, m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """The group GL(r, Z/m) of matrices with invertible determinant."""
     _check_scan_cap(r, m, cap)
-    carrier = frozenset(MatModM(m, r, t) for t in _gl_flat(r, m))
-    return FiniteGroup(
-        carrier, mat_mul, MatModM.identity(r, m), name=f"GL({r}, Z/{m})"
-    )
+    return _group(_gl_flat(r, m), r, m, f"GL({r}, Z/{m})")
 
 
 def stable_image(r: int, m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
@@ -227,7 +290,4 @@ def stable_image(r: int, m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     it always contains SL(r, Z/m) and the determinant-(-1) coset.
     """
     _check_scan_cap(r, m, cap)
-    carrier = frozenset(MatModM(m, r, t) for t in _stable_flat(r, m))
-    return FiniteGroup(
-        carrier, mat_mul, MatModM.identity(r, m), name=f"E({r}, Z/{m})"
-    )
+    return _group(_stable_flat(r, m), r, m, f"E({r}, Z/{m})")

@@ -17,25 +17,24 @@ therefore normal in U with abelian quotient, and
 
     genus = phi(m)^k / |det(K) * {+-1}^k|
 
-where k is the number of blocks.  Only the subring is enumerated, so the
-subring size is the only size limit.  The generic engine in
-:mod:`genuskit.cosets` serves as the test oracle for this route.
+where k is the number of blocks.  Only the subring is enumerated, as int64
+rows of the row kernel in :mod:`genuskit.matrices`, so the subring size is
+the only size limit.  The generic engine in :mod:`genuskit.cosets` serves
+as the test oracle for this route.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .cosets import FiniteGroup
 from .errors import InternalInconsistencyError, ResourceLimitError
-from .matrices import DEFAULT_CAP, MAX_DET_SIZE, MatModM, _det_flat, mat_mul
+from .matrices import (DEFAULT_CAP, MAX_DET_SIZE, MatModM, _block_dets,
+                       _mul_rows, _Shape, _shape, _unit_lut, mat_mul)
 from .rings import totient
 
 
@@ -183,55 +182,6 @@ def load_order_spec(path) -> OrderSpec:
     return order_spec_from_dict(data)
 
 
-# ---------------------------------------------------------------------------
-# Internal flat representation: a tuple element of prod_i Mat(r_i, Z/m) is a
-# single concatenated row-major tuple of ints; numpy rows use the same layout.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Shape:
-    m: int
-    blocks: tuple[int, ...]
-    offsets: tuple[int, ...]
-    width: int
-
-
-@lru_cache(maxsize=64)
-def _shape(m: int, blocks: tuple[int, ...]) -> _Shape:
-    offsets = []
-    off = 0
-    for r in blocks:
-        offsets.append(off)
-        off += r * r
-    return _Shape(m=m, blocks=blocks, offsets=tuple(offsets), width=off)
-
-
-@lru_cache(maxsize=64)
-def _mult_fn(m: int, blocks: tuple[int, ...]):
-    """Blockwise matrix multiplier over concatenated flat tuples."""
-    pairs = []
-    off = 0
-    for r in blocks:
-        for i in range(r):
-            for j in range(r):
-                pairs.append(
-                    tuple((off + i * r + t, off + t * r + j) for t in range(r))
-                )
-        off += r * r
-    def mult(x, y):
-        return tuple(sum(x[a] * y[b] for a, b in pos) % m for pos in pairs)
-
-    return mult
-
-
-def _identity_row(m: int, blocks: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for r in blocks:
-        out.extend(MatModM.identity(r, m).entries)
-    return tuple(out)
-
-
 def _row_to_mats(shape: _Shape, row) -> tuple[MatModM, ...]:
     return tuple(
         MatModM(shape.m, r, tuple(row[off : off + r * r]))
@@ -240,7 +190,7 @@ def _row_to_mats(shape: _Shape, row) -> tuple[MatModM, ...]:
 
 
 def _mats_to_row(tup) -> tuple[int, ...]:
-    return tuple(itertools.chain.from_iterable(mat.entries for mat in tup))
+    return tuple(e for mat in tup for e in mat.entries)
 
 
 # -- subring closure --------------------------------------------------------
@@ -251,83 +201,61 @@ def _mats_to_row(tup) -> tuple[int, ...]:
 # span (bilinearity closes the rest), so the closure alternates additive
 # span extensions with a worklist over module-generator pairs.  Every span
 # extension at least doubles the set, so the worklist stays logarithmic.
-# Rows are keyed by their bytes, which works for any m and width.
+#
+# Tuples are int64 rows of the row kernel in genuskit.matrices, keyed by
+# their bytes.  genuskit.matrices keys single matrices by a dense base-m code
+# instead, because the cap bounds its m^(r^2) codes; the ambient ring here
+# has m^width elements with no such bound.
 
 
 def _closure(shape: _Shape, gen_rows, cap: int) -> np.ndarray:
     m = shape.m
-    mult = _mult_fn(m, shape.blocks)
+    # the m multiples of the identity are distinct and lie in every subring
+    if m > cap:
+        raise ResourceLimitError(f"a subring mod {m} exceeds the cap of {cap}")
+    if max(shape.blocks) * (m - 1) ** 2 >= 2**63:
+        raise ResourceLimitError(f"level {m} is past the row kernel's int64 range")
     row_key = np.dtype((np.void, 8 * shape.width))
     rows = np.zeros((1, shape.width), dtype=np.int64)
     keys = {rows[0].tobytes()}
 
-    def extend(vec) -> None:
+    def extend(v: np.ndarray) -> None:
         nonlocal rows
-        base = rows
-        v = np.array(vec, dtype=np.int64) % m
-        shift = v.copy()
+        cosets = [rows]
+        shift = v
         # each shifted copy of the span is disjoint from everything stored
         while shift.tobytes() not in keys:
-            if len(keys) + len(base) > cap:
+            if len(keys) + len(rows) > cap:
                 raise ResourceLimitError(
                     f"subring closure exceeded the cap of {cap} elements"
                 )
-            coset = (base + shift) % m
-            rows = np.vstack((rows, coset))
+            coset = (rows + shift) % m
+            cosets.append(coset)
             keys.update(coset.view(row_key).ravel().tolist())
             shift = (shift + v) % m
+        rows = np.concatenate(cosets)
 
-    def absent(row) -> bool:
-        return np.array(row, dtype=np.int64).tobytes() not in keys
-
-    mod_gens: list[tuple[int, ...]] = []
-    for seed in (_identity_row(m, shape.blocks), *gen_rows):
-        seed = tuple(v % m for v in seed)
-        if absent(seed):
+    mod_gens: list[np.ndarray] = []
+    identity = _mats_to_row(MatModM.identity(r, m) for r in shape.blocks)
+    for seed in (identity, *gen_rows):
+        seed = np.array(seed, dtype=np.int64) % m
+        if seed.tobytes() not in keys:
             extend(seed)
             mod_gens.append(seed)
     i = 0
     while i < len(mod_gens):
-        x = mod_gens[i]
-        for j in range(i + 1):
-            y = mod_gens[j]
-            products = (mult(x, y),) if i == j else (mult(x, y), mult(y, x))
-            for p in products:
-                if absent(p):
-                    extend(p)
-                    mod_gens.append(p)
+        ys = np.array(mod_gens[: i + 1])
+        xs = np.broadcast_to(mod_gens[i], ys.shape)
+        # x*y and y*x for every module generator y up to x, in one call
+        products = _mul_rows(
+            shape, np.stack((xs, ys), axis=1), np.stack((ys, xs), axis=1)
+        )
+        for p in products.reshape(-1, shape.width):
+            if p.tobytes() not in keys:
+                extend(p)
+                mod_gens.append(p)
         i += 1
     return rows
-
-
-@lru_cache(maxsize=64)
-def _unit_lut(m: int) -> np.ndarray:
-    return np.array([math.gcd(v, m) == 1 for v in range(m)], dtype=bool)
-
-
-def _block_dets(shape: _Shape, rows: np.ndarray) -> np.ndarray:
-    """Blockwise determinants mod m, one column per block.
-
-    Intermediate products stay below 3*m^2, exact in int64 while m is below
-    1.7e9; the subring holds all m scalars, so the cap bounds m first.
-    """
-    m = shape.m
-    out = np.empty((len(rows), len(shape.blocks)), dtype=np.int64)
-    for col, (r, off) in enumerate(zip(shape.blocks, shape.offsets)):
-        if r == 1:
-            out[:, col] = rows[:, off] % m
-        elif r == 2:
-            out[:, col] = (rows[:, off] * rows[:, off + 3]
-                           - rows[:, off + 1] * rows[:, off + 2]) % m
-        elif r == 3:
-            a, b, c, d, e, f, g, h, i = (rows[:, off + t] for t in range(9))
-            out[:, col] = (a * ((e * i - f * h) % m) - b * ((d * i - f * g) % m)
-                           + c * ((d * h - e * g) % m)) % m
-        else:
-            out[:, col] = [
-                _det_flat(row[off : off + r * r], r, m) for row in rows.tolist()
-            ]
-    return out
 
 
 # -- public operations -------------------------------------------------------

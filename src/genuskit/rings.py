@@ -29,10 +29,18 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def totient(m: int) -> int:
-    """Euler totient by brute count of 1 <= k <= m coprime to m."""
+    """Euler totient from the prime factors of m, found by trial division."""
     if m < 1:
         raise ValueError(f"totient is defined for m >= 1, got {m}")
-    return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+    result = rest = m
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            result -= result // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return result - result // rest if rest > 1 else result
 
 
 def inverse_mod(a: int, m: int) -> int | None:

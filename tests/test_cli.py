@@ -69,6 +69,15 @@ class TestSpecFileVerbs:
         assert status == 1
         assert err
 
+    @pytest.mark.parametrize("verb", ["genus-order", "double-cosets"])
+    def test_level_past_int64_is_resource_limit(self, capsys, tmp_path, verb):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(order_spec_to_dict(pullback_spec(2**63))))
+        status, out, err = run(capsys, verb, str(path))
+        assert (status, out) == (2, "")
+        assert err.startswith("resource limit:")
+        assert "Traceback" not in err
+
     def test_bad_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops")
@@ -123,6 +132,13 @@ class TestErrorPaths:
         status, _, err = run(capsys, "gl-order", "3", "24")
         assert status == 2
         assert "resource limit" in err
+
+    def test_pullback_level_above_cap_fails_fast(self, capsys):
+        # the subring holds the m multiples of the identity, so m > cap
+        # is refused before the closure starts
+        status, _, err = run(capsys, "genus-pullback", "3000000")
+        assert status == 2
+        assert "3000000" in err and "2000000" in err
 
     def test_help_exits_zero(self, capsys):
         status, out, _ = run(capsys, "--help")

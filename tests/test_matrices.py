@@ -1,10 +1,14 @@
 import itertools
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genuskit.matrices as matrices
+from genuskit.cosets import subgroup_closure
 from genuskit.errors import ResourceLimitError
 from genuskit.matrices import (
     MatModM,
@@ -238,6 +242,68 @@ class TestStableImage:
     def test_cap_enforced(self):
         with pytest.raises(ResourceLimitError):
             stable_image(3, 24)
+
+
+# largest m with 3 * (m - 1)^2 < 2^63, the top of the int64-exact range of
+# _mul_rows for 3x3 blocks
+TOP_3X3 = math.isqrt((2**63 - 1) // 3) + 1
+
+
+def random_tuple(rng, blocks, m):
+    return [MatModM(m, r, [rng.randrange(m) for _ in range(r * r)]) for r in blocks]
+
+
+def flat_row(mats):
+    return [e for mat in mats for e in mat.entries]
+
+
+class TestRowKernel:
+    @pytest.mark.parametrize("blocks, m", [((1, 2, 3, 4), 12), ((3,), TOP_3X3)])
+    def test_mul_rows_matches_mat_mul(self, blocks, m):
+        rng = random.Random(7)
+        pairs = [(random_tuple(rng, blocks, m), random_tuple(rng, blocks, m))
+                 for _ in range(40)]
+        top = [MatModM(m, r, [m - 1] * (r * r)) for r in blocks]
+        pairs.append((top, top))
+        a = np.array([flat_row(x) for x, _ in pairs])
+        b = np.array([flat_row(y) for _, y in pairs])
+        got = matrices._mul_rows(matrices._shape(m, blocks), a, b)
+        expected = [flat_row(map(mat_mul, x, y)) for x, y in pairs]
+        assert got.tolist() == expected
+
+    def test_mul_rows_broadcasts_one_row(self):
+        rng = random.Random(8)
+        blocks, m = (2, 3), 10
+        shape = matrices._shape(m, blocks)
+        xs = [random_tuple(rng, blocks, m) for _ in range(20)]
+        y = random_tuple(rng, blocks, m)
+        stack = np.array([flat_row(x) for x in xs])
+        row = np.array(flat_row(y))
+        right = matrices._mul_rows(shape, stack, row)
+        left = matrices._mul_rows(shape, row, stack)
+        assert right.tolist() == [flat_row(map(mat_mul, x, y)) for x in xs]
+        assert left.tolist() == [flat_row(map(mat_mul, y, x)) for x in xs]
+
+    @pytest.mark.parametrize(
+        "r, m", [(r, m) for r in (1, 2) for m in range(1, 9)] + [(3, 2), (3, 3)]
+    )
+    def test_stable_image_matches_generic_closure(self, r, m):
+        # independent oracle: the generic engine's closure inside GL
+        gl = enumerate_gl(r, m)
+        closed = subgroup_closure(gl, elementary_generators(r, m))
+        assert stable_image(r, m).carrier == closed
+
+    @pytest.mark.parametrize(
+        "r, m", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2), (1, 7)]
+    )
+    def test_edge_cases_match_brute_scan(self, r, m):
+        mats = [MatModM(m, r, t) for t in itertools.product(range(m), repeat=r * r)]
+        gl = {a for a in mats if math.gcd(leibniz_det(a), m) == 1}
+        signs = {1 % m, (m - 1) % m}
+        assert enumerate_gl(r, m).carrier == gl
+        assert stable_image(r, m).carrier == {
+            a for a in gl if leibniz_det(a) in signs
+        }
 
 
 class TestArgumentValidation:

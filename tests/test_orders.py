@@ -29,6 +29,7 @@ from genuskit.orders import (
     subring_closure,
     subring_units,
 )
+import genuskit.matrices as matrices
 import genuskit.orders as orders
 from genuskit.rings import totient
 
@@ -133,6 +134,17 @@ class TestSubringClosure:
                 assert ((x[0] + y[0]) % 8, (x[1] + y[1]) % 8) in flat
                 assert ((x[0] * y[0]) % 8, (x[1] * y[1]) % 8) in flat
 
+    def test_products_taken_in_both_orders(self):
+        # (e12, 0) * (e21, 0) = (e11, 0) is outside the span of the identity,
+        # the generators and (e21, 0) * (e12, 0) = (e22, 0), so a closure
+        # that multiplied in one order only would miss it
+        z = scalar(0, 2)
+        e12, e21 = MatModM(2, 2, (0, 1, 0, 0)), MatModM(2, 2, (0, 0, 1, 0))
+        spec = OrderSpec(m=2, blocks=(2, 1), generators=((e12, z), (e21, z)))
+        closure = subring_closure(spec)
+        assert len(closure) == 2**5
+        assert (MatModM(2, 2, (1, 0, 0, 0)), z) in closure
+
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             subring_closure(matrix_units_spec(7), cap=100)
@@ -174,7 +186,7 @@ class TestSubringUnits:
             ]
             rows = np.array([[e for mat in t for e in mat.entries] for t in tuples])
             expected = [[det(mat).value for mat in t] for t in tuples]
-            got = orders._block_dets(orders._shape(m, blocks), rows)
+            got = matrices._block_dets(matrices._shape(m, blocks), rows)
             assert got.tolist() == expected
 
     def test_requires_identity(self):
@@ -278,6 +290,14 @@ class TestGenus:
         assert genus(pullback_spec(30), cap=30).total == 4
         with pytest.raises(ResourceLimitError):
             genus(pullback_spec(30), cap=29)
+
+    def test_level_out_of_reach_fails_fast(self):
+        # the subring holds the m multiples of the identity, so m > cap is
+        # refused at once, and so is an m past the int64-exact range
+        with pytest.raises(ResourceLimitError, match=f"{2**63}.*2000000"):
+            genus(pullback_spec(2**63))
+        with pytest.raises(ResourceLimitError, match="int64"):
+            genus(pullback_spec(2**40), cap=2**62)
 
     def test_scalar_3x3_block_mod7(self):
         # cube determinants of scalar units are {1, 6} = {+-1} mod 7, so the

@@ -35,9 +35,14 @@ class TestTotient:
     def test_spec_values(self, m, expected):
         assert totient(m) == expected == brute_totient(m)
 
-    def test_matches_oracle_up_to_200(self):
-        for m in range(1, 201):
+    def test_matches_oracle_up_to_3000(self):
+        for m in range(1, 3001):
             assert totient(m) == brute_totient(m)
+
+    def test_large_arguments(self):
+        assert totient(10**12) == 4 * 10**11
+        assert totient(10**12 + 39) == 10**12 + 38  # a prime
+        assert totient(100_000_000_000) == 40_000_000_000
 
     @pytest.mark.parametrize("m", [0, -1, -24])
     def test_rejects_nonpositive(self, m):
