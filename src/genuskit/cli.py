@@ -16,7 +16,7 @@ import time
 from . import acceptance
 from .atoms import genus_of_atom, parse_atom
 from .errors import InternalInconsistencyError, ResourceLimitError
-from .matrices import DEFAULT_CAP, enumerate_gl, stable_image
+from .matrices import DEFAULT_CAP, gl_order, stable_image_order
 from .orders import (
     genus,
     genus_pullback_formula,
@@ -142,10 +142,10 @@ def _run_verb(args, cap: int) -> tuple[object, dict, list[str], int]:
         value = totient(args.m)
         return value, {"m": args.m}, [str(value)], 0
     if verb == "gl-order":
-        value = len(enumerate_gl(args.r, args.m, cap))
+        value = gl_order(args.r, args.m, cap)
         return value, {"r": args.r, "m": args.m}, [str(value)], 0
     if verb == "stable-image":
-        value = len(stable_image(args.r, args.m, cap))
+        value = stable_image_order(args.r, args.m, cap)
         return value, {"r": args.r, "m": args.m}, [str(value)], 0
     if verb == "double-cosets":
         spec = load_order_spec(args.spec)

@@ -15,10 +15,12 @@ from .cosets import FiniteGroup
 from .errors import ResourceLimitError
 from .rings import Residue
 
-# Default cap.  For enumerate_gl and stable_image it bounds m^(r^2), the
-# number of candidate matrices scanned and of entries in the visited map; for
-# orders.genus and orders.subring_closure it bounds the number of subring
-# elements, and hence m, since the subring holds all m scalars.
+# Default cap.  For enumerate_gl, stable_image, gl_order and
+# stable_image_order it bounds m^(r^2), the number of candidate matrices
+# scanned and of entries in the visited map; the two order functions count
+# the scanned codes and build no group.  For orders.genus and
+# orders.subring_closure it bounds the number of subring elements, and hence
+# m, since the subring holds all m scalars.
 DEFAULT_CAP = 2_000_000
 
 # Determinants use cofactor expansion, which is exact over Z/m for composite
@@ -291,3 +293,17 @@ def stable_image(r: int, m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """
     _check_scan_cap(r, m, cap)
     return _group(_stable_flat(r, m), r, m, f"E({r}, Z/{m})")
+
+
+def gl_order(r: int, m: int, cap: int = DEFAULT_CAP) -> int:
+    """|GL(r, Z/m)|, counted from the code scan of enumerate_gl without
+    building the group."""
+    _check_scan_cap(r, m, cap)
+    return len(_gl_flat(r, m))
+
+
+def stable_image_order(r: int, m: int, cap: int = DEFAULT_CAP) -> int:
+    """|E(r, Z/m)|, counted from the frontier search of stable_image without
+    building the group."""
+    _check_scan_cap(r, m, cap)
+    return len(_stable_flat(r, m))

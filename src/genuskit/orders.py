@@ -221,19 +221,22 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> np.ndarray:
 
     def extend(v: np.ndarray) -> None:
         nonlocal rows
-        cosets = [rows]
-        shift = v
-        # each shifted copy of the span is disjoint from everything stored
-        while shift.tobytes() not in keys:
-            if len(keys) + len(rows) > cap:
-                raise ResourceLimitError(
-                    f"subring closure exceeded the cap of {cap} elements"
-                )
-            coset = (rows + shift) % m
-            cosets.append(coset)
-            keys.update(coset.view(row_key).ravel().tolist())
-            shift = (shift + v) % m
-        rows = np.concatenate(cosets)
+        # the span grows by the cosets rows + k*v for k below the first
+        # multiple that is already stored; each is disjoint from the rest.
+        # Multiples go up to the additive order of v, but no further than
+        # the cap leaves room for cosets; k % m keeps k*v in int64.
+        order = m // int(np.gcd.reduce(v, initial=m))
+        count = min(order, (cap - len(keys)) // len(rows) + 1)
+        mults = np.arange(1, count + 1, dtype=np.int64)[:, None] % m * v % m
+        mult_keys = mults.view(row_key).ravel().tolist()
+        k = next((k for k, key in enumerate(mult_keys) if key in keys), None)
+        if k is None:
+            raise ResourceLimitError(
+                f"subring closure exceeded the cap of {cap} elements"
+            )
+        cosets = ((rows[None] + mults[:k, None]) % m).reshape(-1, shape.width)
+        keys.update(cosets.view(row_key).ravel().tolist())
+        rows = np.concatenate((rows, cosets))
 
     mod_gens: list[np.ndarray] = []
     identity = _mats_to_row(MatModM.identity(r, m) for r in shape.blocks)

@@ -167,6 +167,25 @@ class TestCap:
         assert status == 1
         assert "GENUSKIT_CAP" in err
 
+    @pytest.mark.parametrize("verb", ["gl-order", "stable-image"])
+    def test_cap_boundary_is_scan_size(self, capsys, verb):
+        # the scan of 2x2 matrices mod 5 has 5^4 = 625 candidates
+        status, _, err = run(capsys, verb, "2", "5", "--cap", "624")
+        assert status == 2
+        assert err.startswith("resource limit:")
+        status, _, _ = run(capsys, verb, "2", "5", "--cap", "625")
+        assert status == 0
+
+    def test_order_verbs_build_no_group(self, capsys, monkeypatch):
+        import genuskit.matrices as matrices
+
+        def no_group(*args):
+            raise AssertionError("a MatModM carrier was built")
+
+        monkeypatch.setattr(matrices, "_group", no_group)
+        assert run(capsys, "gl-order", "2", "3")[:2] == (0, "48\n")
+        assert run(capsys, "stable-image", "2", "5")[:2] == (0, "240\n")
+
 
 class TestJsonStability:
     def test_identical_runs_differ_only_in_elapsed(self, capsys):

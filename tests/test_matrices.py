@@ -15,8 +15,10 @@ from genuskit.matrices import (
     det,
     elementary_generators,
     enumerate_gl,
+    gl_order,
     mat_mul,
     stable_image,
+    stable_image_order,
 )
 from genuskit.rings import Residue, totient
 
@@ -304,6 +306,25 @@ class TestRowKernel:
         assert stable_image(r, m).carrier == {
             a for a in gl if leibniz_det(a) in signs
         }
+
+
+class TestOrderFunctions:
+    @pytest.mark.parametrize(
+        "r, m", [(r, m) for r in (1, 2) for m in range(1, 13)]
+        + [(3, m) for m in range(1, 5)]
+    )
+    def test_orders_match_carriers(self, r, m):
+        assert gl_order(r, m) == len(enumerate_gl(r, m))
+        assert stable_image_order(r, m) == len(stable_image(r, m))
+
+    @pytest.mark.parametrize("order, size", [(gl_order, 480), (stable_image_order, 240)])
+    def test_cap_bounds_the_scan(self, order, size):
+        # the scan of 2x2 matrices mod 5 has 5^4 = 625 candidates
+        with pytest.raises(ResourceLimitError):
+            order(2, 5, cap=624)
+        assert order(2, 5, cap=625) == size
+        with pytest.raises(ValueError):
+            order(0, 5)
 
 
 class TestArgumentValidation:

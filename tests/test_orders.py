@@ -145,6 +145,18 @@ class TestSubringClosure:
         assert len(closure) == 2**5
         assert (MatModM(2, 2, (1, 0, 0, 0)), z) in closure
 
+    def test_span_reenters_before_additive_order(self):
+        # 6 * (1, 3) = (6, 6) lies in the diagonal span although (1, 3) has
+        # additive order 12, so the span grows by 6 cosets, not 12
+        spec = spec_1x1(12, [(1, 3)])
+        rows = orders._closure(matrices._shape(12, (1, 1)), [(1, 3)], cap=72)
+        assert len(rows) == len(np.unique(rows, axis=0)) == 12 * 6
+        assert len(subring_closure(spec)) == 12 * 6
+        assert genus_relative(spec) == engine_genus(spec)
+        # the cap check inside the span extension, at its boundary
+        with pytest.raises(ResourceLimitError):
+            subring_closure(spec, cap=71)
+
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             subring_closure(matrix_units_spec(7), cap=100)
@@ -212,6 +224,10 @@ class TestPullback:
     def test_engine_matches_formula_small(self):
         for m in range(1, 13):
             assert genus(pullback_spec(m)).total == genus_pullback_formula(m)
+
+    def test_engine_matches_formula_large(self):
+        m = 10**5
+        assert genus(pullback_spec(m)).total == genus_pullback_formula(m)
 
 
 class TestGenus:
