@@ -11,6 +11,8 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import atoms as atoms_mod
 from . import matrices as matrices_mod
 from . import orders as orders_mod
@@ -107,11 +109,15 @@ def check_stable_image(cap: int = DEFAULT_CAP) -> CheckResult:
     failures = []
     cases = [(2, m) for m in range(2, 13)] + [(3, m) for m in (2, 3, 4)]
     for r, m in cases:
-        image = matrices_mod.stable_image(r, m, cap).carrier
-        gl = matrices_mod.enumerate_gl(r, m, cap).carrier
-        signs = {1 % m, (m - 1) % m}
-        expected = frozenset(a for a in gl if a.det().value in signs)
-        if image != expected:
+        # both scans return ascending codes, so equal arrays are equal sets
+        matrices_mod._check_scan_cap(r, m, cap)
+        image = matrices_mod._stable_flat(r, m)
+        gl = matrices_mod._gl_flat(r, m)
+        dets = matrices_mod._block_dets(
+            matrices_mod._shape(m, (r,)), matrices_mod._decode(gl, r, m)
+        )[:, 0]
+        expected = gl[np.isin(dets, [1 % m, (m - 1) % m])]
+        if not np.array_equal(image, expected):
             failures.append(
                 f"r={r}, m={m}: closure has {len(image)} elements, "
                 f"det filter has {len(expected)}"
@@ -312,11 +318,10 @@ def check_same_genus_classes(cap: int = DEFAULT_CAP) -> CheckResult:
                     and not atoms_mod.same_genus(a, c)
                 ):
                     failures.append(f"not transitive at v={a.v},{b.v},{c.v}")
-    for a in family:
-        for b in family:
-            if atoms_mod.same_genus(a, b) and atoms_mod.genus_of_atom(
-                a, cap
-            ) != atoms_mod.genus_of_atom(b, cap):
+    genera = [atoms_mod.genus_of_atom(a, cap) for a in family]
+    for a, genus_a in zip(family, genera):
+        for b, genus_b in zip(family, genera):
+            if atoms_mod.same_genus(a, b) and genus_a != genus_b:
                 failures.append(f"genus differs inside a class: v={a.v}, v={b.v}")
     return _result(
         "same-genus-classes", start, failures,

@@ -3,11 +3,15 @@
 One verb per invocation; results go to stdout, diagnostics to stderr.
 Exit status: 0 success, 1 invalid input, 2 resource limit exceeded.
 With --json the output is a single object {verb, inputs, result, elapsedMs}.
+main() may be called any number of times in one process: the argument
+parser is built on the first call and reused, while the cap and the
+environment are read afresh on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,6 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# built on the first main() call, not at import, so importing stays cheap;
+# parse_args keeps no state between calls, so one parser serves them all
+@functools.cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

@@ -151,7 +151,10 @@ def elementary_generators(r: int, m: int) -> list[MatModM]:
 # row-major entries of every block, concatenated, reduced into 0..m-1.
 # MatModM appears only at the public boundary; mat_mul and det stay as the
 # exact Python-int references.  Rows are handled _CHUNK at a time, so that
-# temporaries stay small whatever the size of the group.
+# temporaries stay small whatever the size of the group.  Duplicates are
+# dropped by _distinct_rows, not np.unique: np.unique(axis=0) is several
+# times slower on int64 rows, and under numpy 2 the first np.unique call in
+# a process imports numpy.ma, which takes longer than a small genus.
 _CHUNK = 1 << 15
 
 
@@ -215,6 +218,21 @@ def _block_dets(shape: _Shape, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _distinct_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array, or the distinct entries of a 1-D
+    one, in ascending lexicographic order: a sort, then each row kept when
+    it differs from its predecessor."""
+    if a.ndim == 1:
+        s = np.sort(a)
+        differs = s[1:] != s[:-1]
+    else:
+        s = a[np.lexsort(a.T[::-1])]  # the first column sorts first
+        differs = (s[1:] != s[:-1]).any(axis=1)
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = differs  # empty input keeps nothing
+    return s[keep]
+
+
 def _decode(codes: np.ndarray, r: int, m: int) -> np.ndarray:
     """Rows of the r x r matrices whose base-m codes are given: a code reads
     the row as r^2 digits, the first entry most significant."""
@@ -251,7 +269,7 @@ def _stable_flat(r: int, m: int) -> np.ndarray:
         for lo in range(0, len(frontier), _CHUNK):
             rows = _decode(frontier[lo : lo + _CHUNK], r, m)
             codes = _mul_rows(shape, rows[:, None], gens) @ place
-            new = np.unique(codes[~seen[codes]])
+            new = _distinct_rows(codes[~seen[codes]])
             seen[new] = True
             reached.append(new)
         frontier = np.concatenate(reached)

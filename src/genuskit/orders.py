@@ -34,7 +34,8 @@ import numpy as np
 from .cosets import FiniteGroup
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .matrices import (DEFAULT_CAP, MAX_DET_SIZE, MatModM, _block_dets,
-                       _mul_rows, _Shape, _shape, _unit_lut, mat_mul)
+                       _distinct_rows, _mul_rows, _Shape, _shape, _unit_lut,
+                       mat_mul)
 from .rings import totient
 
 
@@ -331,7 +332,7 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
     rows = _closure(shape, [_mats_to_row(t) for t in spec.generators], cap)
     dets = _block_dets(shape, rows)
     # det is a homomorphism, so the unit determinants form the subgroup D
-    d = np.unique(dets[_unit_lut(spec.m)[dets].all(axis=1)], axis=0)
+    d = _distinct_rows(dets[_unit_lut(spec.m)[dets].all(axis=1)])
     signs = {1 % spec.m, (spec.m - 1) % spec.m}
     d_in_s = int(np.isin(d, list(signs)).all(axis=1).sum())
     return totient(spec.m) ** k * d_in_s // (len(d) * len(signs) ** k)

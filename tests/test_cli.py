@@ -196,12 +196,59 @@ class TestJsonStability:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+class TestRepeatedCalls:
+    def test_cap_flag_does_not_persist(self, capsys):
+        # the subring of pullback_spec(12) has 12 elements
+        assert run(capsys, "genus-pullback", "12", "--cap", "5")[0] == 2
+        assert run(capsys, "genus-pullback", "12")[:2] == (0, "brute=2 formula=2\n")
+
+    def test_env_cap_is_read_on_every_call(self, capsys, monkeypatch):
+        monkeypatch.setenv("GENUSKIT_CAP", "5")
+        assert run(capsys, "genus-pullback", "12")[0] == 2
+        monkeypatch.delenv("GENUSKIT_CAP")
+        assert run(capsys, "genus-pullback", "12")[0] == 0
+        monkeypatch.setenv("GENUSKIT_CAP", "5")
+        assert run(capsys, "genus-pullback", "12")[0] == 2
+
+    def test_usage_error_then_good_call(self, capsys):
+        assert run(capsys, "totient", "5", "--frob")[0] == 1
+        assert run(capsys, "totient")[0] == 1
+        status, out, err = run(capsys, "totient", "5", "--json")
+        assert (status, err) == (0, "")
+        assert json.loads(out)["result"] == 4
+        # --json of the previous call does not carry over
+        assert run(capsys, "totient", "5") == (0, "4\n", "")
+
+    def test_help_then_good_call(self, capsys):
+        status, out, _ = run(capsys, "--help")
+        assert status == 0 and "genuskit" in out
+        assert run(capsys, "gl-order", "--help")[0] == 0
+        assert run(capsys, "gl-order", "2", "3") == (0, "48\n", "")
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        import genuskit.cli as cli
+
+        run(capsys, "totient", "5")
+        built = []
+        real_init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        for argv in (["totient", "7"], ["gl-order", "2", "3"], ["--help"]):
+            run(capsys, *argv)
+        assert built == []
+
+
 class TestEntryPoint:
-    def test_python_dash_m_invocation(self):
+    def test_python_dash_m_invocation(self, subprocess_env):
         proc = subprocess.run(
             [sys.executable, "-m", "genuskit", "genus-pullback", "8"],
             capture_output=True,
             text=True,
+            env=subprocess_env,
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "brute=2 formula=2"
@@ -220,18 +267,15 @@ class TestCheckVerb:
         assert "no acceptance check" in err
 
     def test_fault_injection_fails_check(self, capsys, monkeypatch):
-        # a deliberately broken stable image must flip the check to FAIL
+        # a deliberately broken stable-image scan must flip the check to FAIL
         import genuskit.matrices as matrices
 
-        real = matrices.stable_image
+        real = matrices._stable_flat
 
-        def broken(r, m, cap=matrices.DEFAULT_CAP):
-            group = real(r, m, cap)
-            return type(group)(
-                frozenset([group.identity]), group.op, group.identity
-            )
+        def broken(r, m):
+            return real(r, m)[1:]  # one matrix short
 
-        monkeypatch.setattr(matrices, "stable_image", broken)
+        monkeypatch.setattr(matrices, "_stable_flat", broken)
         status, out, _ = run(capsys, "check", "--only", "stable-image")
         assert status == 1
         assert out.startswith("FAIL stable-image")

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -306,6 +308,55 @@ class TestRowKernel:
         assert stable_image(r, m).carrier == {
             a for a in gl if leibniz_det(a) in signs
         }
+
+
+class TestDistinctRows:
+    @staticmethod
+    def by_set(a):
+        if a.ndim == 1:
+            return sorted(set(a.tolist()))
+        return sorted(set(map(tuple, a.tolist())))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.empty((0, 3), dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.array([[4, -2, 7]]),
+            np.array([[3], [1], [3], [2], [1]]),
+            np.array([5, 1, 5, 5, 0]),
+        ],
+        ids=["empty-rows", "empty-1d", "one-row", "one-column", "1d"],
+    )
+    def test_edge_shapes(self, a):
+        got = matrices._distinct_rows(a)
+        assert got.ndim == a.ndim
+        assert [x if a.ndim == 1 else tuple(x) for x in got.tolist()] == self.by_set(a)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_set_of_tuples(self, seed):
+        gen = np.random.default_rng(seed)
+        for rows, cols, high in [(500, 2, 5), (300, 70, 2), (200, 4, 2**62),
+                                 (1000, 1, 30)]:
+            a = gen.integers(-high, high, size=(rows, cols), dtype=np.int64)
+            a = np.concatenate([a, a[gen.integers(0, rows, size=rows // 3)]])
+            got = matrices._distinct_rows(a)
+            assert [tuple(x) for x in got.tolist()] == self.by_set(a)
+            assert matrices._distinct_rows(a[:, 0]).tolist() == self.by_set(a[:, 0])
+
+    def test_genus_path_does_not_import_numpy_ma(self, subprocess_env):
+        # np.unique imports numpy.ma on its first call, a fixed cost per process
+        code = (
+            "import sys\n"
+            "from genuskit import genus, pullback_spec, stable_image_order\n"
+            "assert genus(pullback_spec(12)).total == 2\n"
+            "assert stable_image_order(2, 5) == 240\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=subprocess_env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestOrderFunctions:
