@@ -19,8 +19,10 @@ from .rings import Residue
 # stable_image_order it bounds m^(r^2), the number of candidate matrices
 # scanned and of entries in the visited map; the two order functions count
 # the scanned codes and build no group.  For orders.genus and
-# orders.subring_closure it bounds the number of subring elements, and hence
-# m, since the subring holds all m scalars.
+# orders.subring_closure it bounds |S|, the number of subring elements, and
+# hence m, since the subring holds all m scalars.  The subring is held as a
+# basis, so |S| is exact before any element exists; the cap is checked then,
+# and the elements are only ever scanned a chunk at a time.
 DEFAULT_CAP = 2_000_000
 
 # Determinants use cofactor expansion, which is exact over Z/m for composite
@@ -194,27 +196,41 @@ def _mul_rows(shape: _Shape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _block_dets(shape: _Shape, rows: np.ndarray) -> np.ndarray:
-    """Blockwise determinants mod m, one column per block.
+    """Blockwise determinants mod m of reduced rows, one column per block.
 
-    Intermediate products stay below 3*m^2, exact in int64 while m is below
-    1.7e9; blocks of size 4 fall back to the exact Python-int expansion.
+    3x3 blocks expand along the first row over reduced 2x2 minors; 4x4
+    blocks take the Laplace expansion along the first two rows, six
+    products of complementary 2x2 minors, each minor reduced first and the
+    terms summed in three reduced pairs.  Every intermediate stays within
+    2*(m-1)^2 in absolute value, so the result is exact in int64 for
+    m <= 2^31, which covers the range r*(m-1)^2 < 2^63 that _mul_rows and
+    the subring closure admit for every r <= 4.
     """
     m = shape.m
-    out = np.empty((len(rows), len(shape.blocks)), dtype=np.int64)
+    # column-major, so that each block's column is contiguous
+    out = np.empty((len(rows), len(shape.blocks)), dtype=np.int64, order="F")
     for col, (r, off) in enumerate(zip(shape.blocks, shape.offsets)):
+        x = [rows[:, off + t] for t in range(r * r)]
         if r == 1:
-            out[:, col] = rows[:, off] % m
+            out[:, col] = x[0] % m
         elif r == 2:
-            out[:, col] = (rows[:, off] * rows[:, off + 3]
-                           - rows[:, off + 1] * rows[:, off + 2]) % m
+            out[:, col] = (x[0] * x[3] - x[1] * x[2]) % m
         elif r == 3:
-            a, b, c, d, e, f, g, h, i = (rows[:, off + t] for t in range(9))
+            a, b, c, d, e, f, g, h, i = x
             out[:, col] = (a * ((e * i - f * h) % m) - b * ((d * i - f * g) % m)
                            + c * ((d * h - e * g) % m)) % m
         else:
-            out[:, col] = [
-                _det_flat(row[off : off + r * r], r, m) for row in rows.tolist()
-            ]
+            def minor(row, i, j):
+                return (x[row + i] * x[row + 4 + j]
+                        - x[row + j] * x[row + 4 + i]) % m
+
+            s = {(i, j): minor(0, i, j) for i in range(4) for j in range(i + 1, 4)}
+            c = {(i, j): minor(8, i, j) for i in range(4) for j in range(i + 1, 4)}
+            out[:, col] = (
+                (s[0, 1] * c[2, 3] - s[0, 2] * c[1, 3]) % m
+                + (s[0, 3] * c[1, 2] - s[1, 3] * c[0, 2]) % m
+                + (s[1, 2] * c[0, 3] + s[2, 3] * c[0, 1]) % m
+            ) % m
     return out
 
 

@@ -17,26 +17,29 @@ therefore normal in U with abelian quotient, and
 
     genus = phi(m)^k / |det(K) * {+-1}^k|
 
-where k is the number of blocks.  Only the subring is enumerated, as int64
-rows of the row kernel in :mod:`genuskit.matrices`, so the subring size is
-the only size limit.  The generic engine in :mod:`genuskit.cosets` serves
-as the test oracle for this route.
+where k is the number of blocks.  The subring S is held as a Howell basis
+over Z/m, so |S| is exact before any element exists, and that size is the
+only size limit.  The determinants are then taken over a streamed scan of
+S, a chunk of int64 rows of the row kernel in :mod:`genuskit.matrices` at
+a time, which never holds all of S.  The generic engine in
+:mod:`genuskit.cosets` serves as the test oracle for this route.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import prod
 from pathlib import Path
 
 import numpy as np
 
 from .cosets import FiniteGroup
 from .errors import InternalInconsistencyError, ResourceLimitError
-from .matrices import (DEFAULT_CAP, MAX_DET_SIZE, MatModM, _block_dets,
-                       _distinct_rows, _mul_rows, _Shape, _shape, _unit_lut,
-                       mat_mul)
-from .rings import totient
+from .matrices import (_CHUNK, DEFAULT_CAP, MAX_DET_SIZE, MatModM,
+                       _block_dets, _distinct_rows, _mul_rows, _Shape, _shape,
+                       _unit_lut, mat_mul)
+from .rings import ext_gcd, totient
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,29 @@ def pullback_spec(m: int) -> OrderSpec:
         raise ValueError(f"level must be >= 1, got {m}")
     one = MatModM(m, 1, (1,))
     return OrderSpec(m=m, blocks=(1, 1), generators=((one, one),))
+
+
+def matrix_pullback_spec(m: int, n: int) -> OrderSpec:
+    """Mat_n of the level-m pullback of Z x Z, the endomorphism order of an
+    n-fold wedge of one atom with that pullback as its order.
+
+    Blocks (n, n); the subring is the diagonal copy of Mat_n(Z/m), with
+    m^(n^2) elements, generated by the pairs (E, E) for the matrix units
+    E = e_{i,i+1} and e_{i+1,i}.  Its genus is genus_pullback_formula(m)
+    for every n: det(K) is the diagonal of ((Z/m)^x)^2.
+    """
+    if m < 1:
+        raise ValueError(f"level must be >= 1, got {m}")
+    if n < 1:
+        raise ValueError(f"matrix size must be >= 1, got {n}")
+
+    def unit(i: int, j: int) -> MatModM:
+        return MatModM(m, n, tuple(int((p, q) == (i, j))
+                                   for p in range(n) for q in range(n)))
+
+    units = [unit(i, i + 1) for i in range(n - 1)]
+    units += [unit(i + 1, i) for i in range(n - 1)]
+    return OrderSpec(m=m, blocks=(n, n), generators=tuple((e, e) for e in units))
 
 
 # ---------------------------------------------------------------------------
@@ -196,70 +222,156 @@ def _mats_to_row(tup) -> tuple[int, ...]:
 
 # -- subring closure --------------------------------------------------------
 #
-# The subring generated by the identity and the generator tuples is an
-# additive subgroup closed under multiplication.  It equals the Z-span of a
-# short list of "module generators" whose pairwise products all lie in the
-# span (bilinearity closes the rest), so the closure alternates additive
-# span extensions with a worklist over module-generator pairs.  Every span
-# extension at least doubles the set, so the worklist stays logarithmic.
+# The subring S generated by the identity and the generator tuples is a
+# Z/m-submodule of (Z/m)^width closed under multiplication.  It is held as
+# a basis, never as a set of elements: the upper-triangular Hermite basis
+# of the lattice S + m*Z^width, in Howell form over Z/m (J. A. Howell,
+# "Spans in the module (Z_m)^s", 1986; Storjohann and Mulders, "Fast
+# algorithms for linear algebra modulo N", ESA 1998).  Row j has zeros
+# before column j and the pivot d_j at column j, where d_j divides m; d_j = m
+# marks a column with no row.  Howell form also asks that (m/d_j) * row j,
+# which is zero at column j, lie in the span of the rows after j; with that,
+# a vector is in S exactly when reducing it column by column (v_j % d_j must
+# vanish, then v -= (v_j // d_j) * row j) leaves zero, and every element of
+# S is one combination sum c_j * row j with 0 <= c_j < m/d_j.  So
+# |S| = prod m/d_j is known before any element exists.
 #
-# Tuples are int64 rows of the row kernel in genuskit.matrices, keyed by
-# their bytes.  genuskit.matrices keys single matrices by a dense base-m code
-# instead, because the cap bounds its m^(r^2) codes; the ambient ring here
-# has m^width elements with no such bound.
+# S is the span of a short list of "module generators" whose pairwise
+# products all lie in S (bilinearity closes the rest), so the closure runs a
+# worklist over module-generator pairs.  Each step reduces all its products
+# against the basis in one numpy pass, and only the products outside S go
+# through the Python insertion.  Every insertion at least doubles S, so
+# there are at most log2|S| module generators.
 
 
-def _closure(shape: _Shape, gen_rows, cap: int) -> np.ndarray:
-    m = shape.m
+def _insert(rows: list[list[int]], pivots: list[int], m: int, v: list[int]) -> bool:
+    """Add v to the span of the Howell basis (rows, pivots), in place;
+    True when the span grew.
+
+    A column whose pivot does not divide v_j takes the extended-gcd merge
+    g = s*d_j + t*v_j of its row b and v: the unimodular step (b, v) ->
+    (s*b + t*v, (v_j/g)*b - (d_j/g)*v) keeps the span, gives row j the
+    pivot g, and leaves a vector r that is zero at column j, which goes on
+    to the later columns.  The annihilator of the new row needs no insertion
+    of its own: (m/g)*(s*b + t*v) = (m/d_j)*b - (m/d_j)*t*r, the annihilator
+    of b, which lies in the later rows already, less a multiple of r.  An
+    empty column (d_j = m) has b = 0 and a zero annihilator.
+    """
+    grew = False
+    pending = [v]
+    while pending:
+        v = pending.pop()
+        for j in range(len(v)):
+            x = v[j]
+            if x == 0:
+                continue
+            b, d = rows[j], pivots[j]
+            if x % d == 0:
+                q = x // d
+                v = [(e - q * c) % m for e, c in zip(v, b)]
+                continue
+            g, s, t = ext_gcd(d, x)
+            new = [(s * c + t * e) % m for e, c in zip(v, b)]
+            rows[j], pivots[j] = new, g
+            pending.append([(x // g * c - d // g * e) % m for e, c in zip(v, b)])
+            grew = True
+            break
+    return grew
+
+
+def _outside(basis: np.ndarray, pivots: list[int], m: int, v: np.ndarray) -> np.ndarray:
+    """Mask of the rows of v that lie outside the span of the Howell basis.
+
+    Reducing column j leaves v_j % d_j there, and later rows are zero at
+    column j, so a row is outside exactly when something is left of it.
+    A quotient is below m/d_j, so each product stays below m^2.
+    """
+    v = v.copy()
+    for j, d in enumerate(pivots):
+        if d < m:
+            v[:, j:] = (v[:, j:] - (v[:, j] // d)[:, None] * basis[j, j:]) % m
+    return v.any(axis=1)
+
+
+def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
+    """Howell basis of the subring generated by the identity and gen_rows:
+    the rows whose pivot is below m, and the additive order m/d_j of each.
+
+    ``cap`` bounds |S| = prod m/d_j, checked before any element is made.
+    """
+    m, width = shape.m, shape.width
     # the m multiples of the identity are distinct and lie in every subring
     if m > cap:
         raise ResourceLimitError(f"a subring mod {m} exceeds the cap of {cap}")
     if max(shape.blocks) * (m - 1) ** 2 >= 2**63:
         raise ResourceLimitError(f"level {m} is past the row kernel's int64 range")
-    row_key = np.dtype((np.void, 8 * shape.width))
-    rows = np.zeros((1, shape.width), dtype=np.int64)
-    keys = {rows[0].tobytes()}
-
-    def extend(v: np.ndarray) -> None:
-        nonlocal rows
-        # the span grows by the cosets rows + k*v for k below the first
-        # multiple that is already stored; each is disjoint from the rest.
-        # Multiples go up to the additive order of v, but no further than
-        # the cap leaves room for cosets; k % m keeps k*v in int64.
-        order = m // int(np.gcd.reduce(v, initial=m))
-        count = min(order, (cap - len(keys)) // len(rows) + 1)
-        mults = np.arange(1, count + 1, dtype=np.int64)[:, None] % m * v % m
-        mult_keys = mults.view(row_key).ravel().tolist()
-        k = next((k for k, key in enumerate(mult_keys) if key in keys), None)
-        if k is None:
-            raise ResourceLimitError(
-                f"subring closure exceeded the cap of {cap} elements"
-            )
-        cosets = ((rows[None] + mults[:k, None]) % m).reshape(-1, shape.width)
-        keys.update(cosets.view(row_key).ravel().tolist())
-        rows = np.concatenate((rows, cosets))
-
+    rows = [[0] * width for _ in range(width)]
+    pivots = [m] * width
     mod_gens: list[np.ndarray] = []
     identity = _mats_to_row(MatModM.identity(r, m) for r in shape.blocks)
     for seed in (identity, *gen_rows):
         seed = np.array(seed, dtype=np.int64) % m
-        if seed.tobytes() not in keys:
-            extend(seed)
+        if _insert(rows, pivots, m, seed.tolist()):
             mod_gens.append(seed)
     i = 0
     while i < len(mod_gens):
-        ys = np.array(mod_gens[: i + 1])
-        xs = np.broadcast_to(mod_gens[i], ys.shape)
-        # x*y and y*x for every module generator y up to x, in one call
-        products = _mul_rows(
-            shape, np.stack((xs, ys), axis=1), np.stack((ys, xs), axis=1)
-        )
-        for p in products.reshape(-1, shape.width):
-            if p.tobytes() not in keys:
-                extend(p)
+        x, ys = mod_gens[i], np.array(mod_gens[: i + 1])
+        # x*y and y*x for every module generator y up to x
+        products = np.concatenate((_mul_rows(shape, x, ys), _mul_rows(shape, ys, x)))
+        basis = np.array(rows, dtype=np.int64)
+        for p in products[_outside(basis, pivots, m, products)]:
+            if _insert(rows, pivots, m, p.tolist()):
                 mod_gens.append(p)
         i += 1
-    return rows
+    size = prod(m // d for d in pivots)
+    if size > cap:
+        raise ResourceLimitError(
+            f"the subring has {size} elements, above the cap of {cap}"
+        )
+    kept = [j for j, d in enumerate(pivots) if d < m]
+    basis = np.array([rows[j] for j in kept], dtype=np.int64).reshape(-1, width)
+    return basis, [m // pivots[j] for j in kept]
+
+
+def _elements(shape: _Shape, basis: np.ndarray, additive: list[int]):
+    """The elements sum c_j * basis[j] mod m, 0 <= c_j < additive[j], of the
+    subring, each once, in chunks of at most _CHUNK rows.
+
+    The last rows vary fastest and are tabulated once, unreduced: an entry
+    sums one multiple below m per row.  Each chunk adds the table to the
+    digit product of the leading rows, which sums one term below (m-1)^2
+    per row; both stay exact in int64 while len(basis)*(m-1)^2 < 2^63,
+    which is checked.  The work runs on transposed (width, n) arrays, so
+    that numpy's inner loops run along the elements rather than along a
+    short row, and a chunk is handed out as the transposed view, whose
+    columns are contiguous.  Every chunk is a view of one buffer, which the
+    next chunk overwrites: fresh memory for each chunk cost more in page
+    faults than the additions that fill it.
+    """
+    m, width = shape.m, shape.width
+    if len(basis) * (m - 1) ** 2 >= 2**63:
+        raise ResourceLimitError(
+            f"{len(basis)} basis rows at level {m} are past the int64 range"
+        )
+    split, low = len(basis), 1
+    while split and low * additive[split - 1] <= _CHUNK:
+        split -= 1
+        low *= additive[split]
+    table = np.zeros((width, 1), dtype=np.int64)
+    for row, n in zip(basis[split:], additive[split:]):
+        mults = row[:, None] * np.arange(n, dtype=np.int64) % m
+        table = (mults[:, :, None] + table[:, None]).reshape(width, -1)
+    lead, radices = basis[:split], np.array(additive[:split], dtype=np.int64)
+    place = np.array([prod(additive[j + 1 : split]) for j in range(split)],
+                     dtype=np.int64)
+    total, step = prod(additive[:split]), max(1, _CHUNK // low)
+    buffer = np.empty((width, min(step, total), low), dtype=np.int64)
+    for lo in range(0, total, step):
+        index = np.arange(lo, min(lo + step, total), dtype=np.int64)
+        offsets = (index[:, None] // place % radices @ lead % m).T
+        chunk = buffer[:, : len(index)]
+        np.add(offsets[:, :, None], table[:, None], out=chunk)
+        yield np.remainder(chunk, m, out=chunk).reshape(width, -1).T
 
 
 # -- public operations -------------------------------------------------------
@@ -273,8 +385,12 @@ def subring_closure(spec: OrderSpec, cap: int = DEFAULT_CAP) -> set:
     tuple.  Returned as a set of matrix tuples.
     """
     shape = _shape(spec.m, spec.blocks)
-    rows = _closure(shape, [_mats_to_row(t) for t in spec.generators], cap)
-    return {_row_to_mats(shape, row) for row in map(tuple, rows.tolist())}
+    basis, additive = _closure(shape, [_mats_to_row(t) for t in spec.generators], cap)
+    return {
+        _row_to_mats(shape, row)
+        for rows in _elements(shape, basis, additive)
+        for row in rows.tolist()
+    }
 
 
 def subring_units(S, m: int, blocks) -> FiniteGroup:
@@ -328,14 +444,18 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
             f"block of size {max(spec.blocks)} is above the determinant "
             f"limit of {MAX_DET_SIZE}"
         )
-    shape = _shape(spec.m, spec.blocks)
-    rows = _closure(shape, [_mats_to_row(t) for t in spec.generators], cap)
-    dets = _block_dets(shape, rows)
-    # det is a homomorphism, so the unit determinants form the subgroup D
-    d = _distinct_rows(dets[_unit_lut(spec.m)[dets].all(axis=1)])
-    signs = {1 % spec.m, (spec.m - 1) % spec.m}
-    d_in_s = int(np.isin(d, list(signs)).all(axis=1).sum())
-    return totient(spec.m) ** k * d_in_s // (len(d) * len(signs) ** k)
+    m = spec.m
+    shape = _shape(m, spec.blocks)
+    basis, additive = _closure(shape, [_mats_to_row(t) for t in spec.generators], cap)
+    units = _unit_lut(m)
+    d = np.empty((0, k), dtype=np.int64)
+    for rows in _elements(shape, basis, additive):
+        dets = _block_dets(shape, rows)
+        # det is a homomorphism, so the unit determinants form the subgroup D
+        d = _distinct_rows(np.concatenate((d, dets[units[dets].all(axis=1)])))
+    d_in_s = int(((d == 1 % m) | (d == (m - 1) % m)).all(axis=1).sum())
+    signs = 1 if m <= 2 else 2
+    return totient(m) ** k * d_in_s // (len(d) * signs**k)
 
 
 def genus(spec: OrderSpec, cap: int = DEFAULT_CAP) -> GenusResult:

@@ -23,6 +23,7 @@ from genuskit.orders import (
     genus_pullback_formula,
     genus_relative,
     load_order_spec,
+    matrix_pullback_spec,
     order_spec_from_dict,
     order_spec_to_dict,
     pullback_spec,
@@ -41,6 +42,11 @@ def scalar(c, m):
 def spec_1x1(m, pairs):
     gens = tuple((scalar(a, m), scalar(b, m)) for a, b in pairs)
     return OrderSpec(m=m, blocks=(1, 1), generators=gens)
+
+
+def spec_3x1(m, triples):
+    gens = tuple(tuple(scalar(c, m) for c in t) for t in triples)
+    return OrderSpec(m=m, blocks=(1, 1, 1), generators=gens)
 
 
 def matrix_units_spec(m):
@@ -149,7 +155,13 @@ class TestSubringClosure:
         # 6 * (1, 3) = (6, 6) lies in the diagonal span although (1, 3) has
         # additive order 12, so the span grows by 6 cosets, not 12
         spec = spec_1x1(12, [(1, 3)])
-        rows = orders._closure(matrices._shape(12, (1, 1)), [(1, 3)], cap=72)
+        shape = matrices._shape(12, (1, 1))
+        basis, additive = orders._closure(shape, [(1, 3)], cap=72)
+        assert sorted(additive) == [6, 12]
+        # each chunk is overwritten by the next, so keep copies
+        rows = np.concatenate(
+            [c.copy() for c in orders._elements(shape, basis, additive)]
+        )
         assert len(rows) == len(np.unique(rows, axis=0)) == 12 * 6
         assert len(subring_closure(spec)) == 12 * 6
         assert genus_relative(spec) == engine_genus(spec)
@@ -158,8 +170,103 @@ class TestSubringClosure:
             subring_closure(spec, cap=71)
 
     def test_cap(self):
-        with pytest.raises(ResourceLimitError):
+        # the message names the exact size, 7^4, known from the basis
+        with pytest.raises(ResourceLimitError, match="2401"):
             subring_closure(matrix_units_spec(7), cap=100)
+
+    def test_cap_checked_before_enumeration(self, monkeypatch):
+        def no_elements(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(orders, "_elements", no_elements)
+        for call in (subring_closure, genus):
+            with pytest.raises(ResourceLimitError, match="2401"):
+                call(matrix_units_spec(7), cap=2400)
+
+    def test_size_from_basis_matches_fixpoint(self):
+        # merging (0, 3, 1) into the pivot 2 of (0, 2, 0) gives the pivot 1
+        # and leaves (0, 0, 4) for the last column: 6 * 6 * 3 elements
+        spec = spec_3x1(6, [(0, 2, 0), (0, 3, 1)])
+        rows = [[0, 2, 0], [0, 3, 1]]
+        _, additive = orders._closure(matrices._shape(6, (1, 1, 1)), rows, cap=10**6)
+        assert sorted(additive) == [3, 6, 6]
+        assert len(brute_subring_closure(spec)) == 108
+        # generators (m/q) * X at composite levels give subrings such as
+        # Z/12 + 6*Z/12 whose pivots are proper divisors of m
+        rng = random.Random(61)
+        proper_pivots = 0
+        for m in (12, 24, 30):
+            for blocks in ((1, 1), (2,), (1, 1, 1)):
+                q = rng.choice([2, 3])
+                gens = tuple(
+                    tuple(
+                        MatModM(m, r, [m // q * rng.randrange(m) for _ in range(r * r)])
+                        for r in blocks
+                    )
+                    for _ in range(rng.randint(1, 2))
+                )
+                spec = OrderSpec(m=m, blocks=blocks, generators=gens)
+                shape = matrices._shape(m, blocks)
+                rows = [[e for mat in t for e in mat.entries] for t in gens]
+                _, additive = orders._closure(shape, rows, cap=10**6)
+                brute = brute_subring_closure(spec)
+                assert np.prod(additive) == len(brute), spec
+                got = {tuple(mat.entries for mat in t) for t in subring_closure(spec)}
+                assert got == brute, spec
+                proper_pivots += any(a != m for a in additive)
+        assert proper_pivots >= 5
+
+    def test_insert_keeps_the_additive_span(self):
+        # the Howell basis of random vectors against a breadth-first span,
+        # at composite levels where pivots merge through extended gcds
+        rng = random.Random(17)
+        for _ in range(150):
+            m, width = rng.choice([4, 6, 8, 9, 12]), rng.randint(1, 3)
+            vectors = [
+                [rng.choice([0, 1, 2, 3, m // 2]) * rng.randrange(m) % m
+                 for _ in range(width)]
+                for _ in range(rng.randint(1, 3))
+            ]
+            rows, pivots = [[0] * width for _ in range(width)], [m] * width
+            for v in vectors:
+                orders._insert(rows, pivots, m, list(v))
+            span = frontier = {(0,) * width}
+            while frontier:
+                frontier = {
+                    tuple((a + b) % m for a, b in zip(x, v))
+                    for x in frontier for v in vectors
+                } - span
+                span = span | frontier
+            kept = [j for j in range(width) if pivots[j] < m]
+            basis = np.array([rows[j] for j in kept], dtype=np.int64).reshape(-1, width)
+            shape = matrices._shape(m, (1,) * width)
+            got = {
+                tuple(row)
+                for c in orders._elements(shape, basis, [m // pivots[j] for j in kept])
+                for row in c.tolist()
+            }
+            assert got == span, (m, vectors)
+
+    def test_chunked_enumeration_matches_fixpoint(self, monkeypatch):
+        # with 7-row chunks these subrings take several leading digits, a
+        # partial last chunk (9 * 3 elements in chunks of 6) or both
+        monkeypatch.setattr(orders, "_CHUNK", 7)
+        for spec in (
+            spec_3x1(6, [(0, 2, 0), (0, 3, 1)]),
+            spec_1x1(9, [(3, 0)]),
+            matrix_units_spec(2),
+            pullback_spec(12),
+        ):
+            shape = matrices._shape(spec.m, spec.blocks)
+            rows = [orders._mats_to_row(t) for t in spec.generators]
+            basis, additive = orders._closure(shape, rows, cap=10**6)
+            # each chunk is overwritten by the next, so keep copies
+            chunks = [c.tolist() for c in orders._elements(shape, basis, additive)]
+            assert all(len(c) <= 7 for c in chunks)
+            got = [tuple(row) for c in chunks for row in c]
+            brute = {sum(t, ()) for t in brute_subring_closure(spec)}
+            assert len(got) == len(set(got)) == np.prod(additive)
+            assert set(got) == brute, spec
 
 
 class TestSubringUnits:
@@ -188,9 +295,12 @@ class TestSubringUnits:
                 assert group.op(a, b) in group.carrier
 
     def test_block_dets_match_cofactor_det(self):
-        # m = 1.7e9 - 1 is the top of the documented int64-exact range
+        # 1_518_500_250 is the top level that the closure admits for a 4x4
+        # block, where 4*(m-1)^2 < 2^63; 2^31 is the top of _block_dets' own
+        # int64-exact range
         rng = random.Random(5)
-        for blocks, m in [((1, 2, 3, 4), 12), ((3, 3), 7), ((2, 3), 1_699_999_999)]:
+        for blocks, m in [((1, 2, 3, 4), 12), ((3, 3), 7), ((2, 3), 1_699_999_999),
+                          ((4, 2), 1_518_500_250), ((4, 3), 2**31)]:
             tuples = [
                 [MatModM(m, r, [rng.randrange(m) for _ in range(r * r)])
                  for r in blocks]
@@ -228,6 +338,23 @@ class TestPullback:
     def test_engine_matches_formula_large(self):
         m = 10**5
         assert genus(pullback_spec(m)).total == genus_pullback_formula(m)
+
+    @pytest.mark.parametrize(
+        "n, m", [(2, 5), (2, 7), (2, 12), (2, 24), (3, 3), (3, 4), (3, 5)]
+    )
+    def test_matrix_pullback_matches_formula(self, n, m):
+        # (3, 3) at m = 5 has 5^9 = 1,953,125 subring elements, so its
+        # determinants are taken over many chunks
+        assert genus(matrix_pullback_spec(m, n)).total == genus_pullback_formula(m)
+
+    def test_matrix_pullback_spec_shape(self):
+        spec = matrix_pullback_spec(6, 1)
+        assert spec.blocks == (1, 1) and spec.generators == ()
+        assert subring_closure(spec) == subring_closure(pullback_spec(6))
+        assert len(subring_closure(matrix_pullback_spec(3, 2))) == 3**4
+        for m, n in ((0, 2), (5, 0)):
+            with pytest.raises(ValueError):
+                matrix_pullback_spec(m, n)
 
 
 class TestGenus:
@@ -297,7 +424,7 @@ class TestGenus:
     def test_cap_propagates(self):
         # the cap bounds only the subring, which has 6 elements here
         assert genus(OrderSpec(m=6, blocks=(3,), generators=())).total == 1
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="2401"):
             genus(matrix_units_spec(7), cap=100)
         with pytest.raises(ResourceLimitError):
             genus(pullback_spec(30), cap=3)
@@ -650,3 +777,52 @@ class TestGenusInvariance:
     @settings(max_examples=40, deadline=None)
     def test_levels_one_and_two_have_genus_one(self, spec):
         assert genus(spec).total == 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def corrupted_spec_dicts(draw):
+    """A valid spec dict with one slot replaced, deleted or appended."""
+    data = order_spec_to_dict(draw(order_specs(levels=range(1, 13))))
+    slots, stack = [], [data]
+    while stack:
+        node = stack.pop()
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    node, key = draw(st.sampled_from(slots))
+    action = draw(st.sampled_from(["replace", "delete", "append"]))
+    if action == "delete" and isinstance(node, dict):
+        del node[key]
+    elif action == "append" and isinstance(node[key], list):
+        node[key].append(draw(json_values))
+    else:
+        node[key] = draw(json_values)
+    return data
+
+
+class TestJsonLoaderProperties:
+    @given(data=json_values | corrupted_spec_dicts())
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_input_raises_value_error_only(self, data):
+        # any other exception type escaping the loader fails the test
+        try:
+            spec = order_spec_from_dict(data)
+        except ValueError:
+            return
+        assert order_spec_from_dict(order_spec_to_dict(spec)) == spec
+
+    @given(spec=order_specs(levels=range(1, 31), shapes=SHAPES + [(3,), (2, 2)]))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip(self, spec):
+        data = json.loads(json.dumps(order_spec_to_dict(spec)))
+        assert order_spec_from_dict(data) == spec
