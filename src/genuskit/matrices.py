@@ -309,7 +309,8 @@ def _check_scan_cap(r: int, m: int, cap: int) -> None:
     if scan > cap:
         raise ResourceLimitError(
             f"enumerating {r}x{r} matrices mod {m} needs a scan of {scan} "
-            f"candidates, above the cap of {cap}"
+            f"candidates, above the cap of {cap}",
+            phase="scan", needed=scan, cap=cap,
         )
 
 

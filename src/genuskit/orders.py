@@ -19,17 +19,22 @@ therefore normal in U with abelian quotient, and
 
 where k is the number of blocks.  The subring S is held as a Howell basis
 over Z/m, so |S| is exact before any element exists, and that size is the
-only size limit.  The determinants are then taken over a streamed scan of
-S, a chunk of int64 rows of the row kernel in :mod:`genuskit.matrices` at
-a time, which never holds all of S.  The generic engine in
-:mod:`genuskit.cosets` serves as the test oracle for this route.
+only size limit.  Two exact shortcuts then give genus 1 without a scan of
+S.  When every pivot is 1, S is the whole ring, and det maps its units
+onto ((Z/m)^x)^k.  Otherwise a probe of a few hundred elements of S gives
+determinants that generate a subgroup D' of det(K); the index for D' is
+never below the genus, so when it is 1 the genus is 1.  In every other
+case the determinants are taken over a streamed scan of S, a chunk of
+int64 rows of the row kernel in :mod:`genuskit.matrices` at a time, which
+never holds all of S.  The generic engine in :mod:`genuskit.cosets` serves
+as the test oracle for this route.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import numpy as np
@@ -241,7 +246,9 @@ def _mats_to_row(tup) -> tuple[int, ...]:
 # worklist over module-generator pairs.  Each step reduces all its products
 # against the basis in one numpy pass, and only the products outside S go
 # through the Python insertion.  Every insertion at least doubles S, so
-# there are at most log2|S| module generators.
+# there are at most log2|S| module generators.  Once every pivot is 1 the
+# span is the whole ring, which holds every product, so the worklist stops
+# there.
 
 
 def _insert(rows: list[list[int]], pivots: list[int], m: int, v: list[int]) -> bool:
@@ -302,19 +309,22 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
     m, width = shape.m, shape.width
     # the m multiples of the identity are distinct and lie in every subring
     if m > cap:
-        raise ResourceLimitError(f"a subring mod {m} exceeds the cap of {cap}")
-    if max(shape.blocks) * (m - 1) ** 2 >= 2**63:
-        raise ResourceLimitError(f"level {m} is past the row kernel's int64 range")
+        raise ResourceLimitError(f"a subring mod {m} exceeds the cap of {cap}",
+                                 phase="closure", needed=m, cap=cap, lower_bound=True)
+    reach = max(shape.blocks) * (m - 1) ** 2
+    if reach >= 2**63:
+        raise ResourceLimitError(f"level {m} is past the row kernel's int64 range",
+                                 phase="closure", needed=reach, cap=2**63 - 1)
     rows = [[0] * width for _ in range(width)]
     pivots = [m] * width
     mod_gens: list[np.ndarray] = []
-    identity = _mats_to_row(MatModM.identity(r, m) for r in shape.blocks)
+    identity = [int(i == j) for r in shape.blocks for i in range(r) for j in range(r)]
     for seed in (identity, *gen_rows):
         seed = np.array(seed, dtype=np.int64) % m
         if _insert(rows, pivots, m, seed.tolist()):
             mod_gens.append(seed)
     i = 0
-    while i < len(mod_gens):
+    while i < len(mod_gens) and max(pivots) > 1:
         x, ys = mod_gens[i], np.array(mod_gens[: i + 1])
         # x*y and y*x for every module generator y up to x
         products = np.concatenate((_mul_rows(shape, x, ys), _mul_rows(shape, ys, x)))
@@ -326,11 +336,31 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
     size = prod(m // d for d in pivots)
     if size > cap:
         raise ResourceLimitError(
-            f"the subring has {size} elements, above the cap of {cap}"
+            f"the subring has {size} elements, above the cap of {cap}",
+            phase="closure", needed=size, cap=cap,
         )
     kept = [j for j, d in enumerate(pivots) if d < m]
+    reach = len(kept) * (m - 1) ** 2
+    if reach >= 2**63:
+        raise ResourceLimitError(
+            f"{len(kept)} basis rows at level {m} are past the int64 range",
+            phase="enumeration", needed=reach, cap=2**63 - 1,
+        )
     basis = np.array([rows[j] for j in kept], dtype=np.int64).reshape(-1, width)
     return basis, [m // pivots[j] for j in kept]
+
+
+def _combinations(basis: np.ndarray, additive: list[int], index: np.ndarray,
+                  m: int) -> np.ndarray:
+    """The rows sum_j c_j * basis[j] mod m for flat indices into the product
+    of the ranges 0 <= c_j < additive[j], read as mixed-radix numbers whose
+    last digit varies fastest.  A sum has one term below (m-1)^2 per row,
+    exact in int64 while len(basis)*(m-1)^2 < 2^63, which _closure checks.
+    """
+    radices = np.array(additive, dtype=np.int64)
+    place = np.array([prod(additive[j + 1 :]) for j in range(len(additive))],
+                     dtype=np.int64)
+    return index[:, None] // place % radices @ basis % m
 
 
 def _elements(shape: _Shape, basis: np.ndarray, additive: list[int]):
@@ -339,20 +369,14 @@ def _elements(shape: _Shape, basis: np.ndarray, additive: list[int]):
 
     The last rows vary fastest and are tabulated once, unreduced: an entry
     sums one multiple below m per row.  Each chunk adds the table to the
-    digit product of the leading rows, which sums one term below (m-1)^2
-    per row; both stay exact in int64 while len(basis)*(m-1)^2 < 2^63,
-    which is checked.  The work runs on transposed (width, n) arrays, so
-    that numpy's inner loops run along the elements rather than along a
-    short row, and a chunk is handed out as the transposed view, whose
-    columns are contiguous.  Every chunk is a view of one buffer, which the
-    next chunk overwrites: fresh memory for each chunk cost more in page
-    faults than the additions that fill it.
+    _combinations of the leading rows.  The work runs on transposed
+    (width, n) arrays, so that numpy's inner loops run along the elements
+    rather than along a short row, and a chunk is handed out as the
+    transposed view, whose columns are contiguous.  Every chunk is a view
+    of one buffer, which the next chunk overwrites: fresh memory for each
+    chunk cost more in page faults than the additions that fill it.
     """
     m, width = shape.m, shape.width
-    if len(basis) * (m - 1) ** 2 >= 2**63:
-        raise ResourceLimitError(
-            f"{len(basis)} basis rows at level {m} are past the int64 range"
-        )
     split, low = len(basis), 1
     while split and low * additive[split - 1] <= _CHUNK:
         split -= 1
@@ -361,17 +385,111 @@ def _elements(shape: _Shape, basis: np.ndarray, additive: list[int]):
     for row, n in zip(basis[split:], additive[split:]):
         mults = row[:, None] * np.arange(n, dtype=np.int64) % m
         table = (mults[:, :, None] + table[:, None]).reshape(width, -1)
-    lead, radices = basis[:split], np.array(additive[:split], dtype=np.int64)
-    place = np.array([prod(additive[j + 1 : split]) for j in range(split)],
-                     dtype=np.int64)
     total, step = prod(additive[:split]), max(1, _CHUNK // low)
     buffer = np.empty((width, min(step, total), low), dtype=np.int64)
     for lo in range(0, total, step):
         index = np.arange(lo, min(lo + step, total), dtype=np.int64)
-        offsets = (index[:, None] // place % radices @ lead % m).T
+        offsets = _combinations(basis[:split], additive[:split], index, m).T
         chunk = buffer[:, : len(index)]
         np.add(offsets[:, :, None], table[:, None], out=chunk)
         yield np.remainder(chunk, m, out=chunk).reshape(width, -1).T
+
+
+# -- determinant image --------------------------------------------------------
+#
+# The genus is [((Z/m)^x)^k : D*{+-1}^k] for D = det(K), the subgroup of the
+# unit determinant tuples of S.  Two shortcuts settle genus 1 before the
+# scan of S, and both are exact:
+#
+# - S is the whole ring when every Howell pivot is 1.  det maps its units,
+#   prod GL(r_i, Z/m), onto ((Z/m)^x)^k, so the index is 1.
+# - Otherwise a probe of _PROBE elements of S, taken at a fixed stride
+#   through the mixed-radix index space of the basis, gives determinants
+#   whose span D' lies in D.  The index for D' is never below the index for
+#   D, so when it is 1 the genus is 1.  Any other probe outcome says nothing
+#   about the genus, and the scan decides it.  The probe is taken only when
+#   S is well above _PROBE elements, and not when 2^k * |S| < phi(m)^k,
+#   which makes |D*{+-1}^k| <= 2^k * |K| too small for index 1.  It needs
+#   no random numbers, and so no import of numpy.random.
+_PROBE = 256
+
+
+def _unit_dets(shape: _Shape, chunks, size: int) -> np.ndarray:
+    """The distinct blockwise determinant tuples of the units among the
+    rows of ``chunks``, which hold at most ``size`` rows in all.
+
+    det is multiplicative, so the tuples of the units of a subring form the
+    subgroup det(K).  When the m^k possible tuples number no more than
+    max(size, _CHUNK), each chunk marks its tuples by their base-m codes in
+    a boolean map, and no chunk is sorted; otherwise each chunk's tuples are
+    deduplicated on their own and the parts merged once at the end.
+    """
+    m, k = shape.m, len(shape.blocks)
+    if m**k <= max(size, _CHUNK):
+        place = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        seen = np.zeros(m**k, dtype=bool)
+        for rows in chunks:
+            seen[_block_dets(shape, rows) @ place] = True
+        d = np.flatnonzero(seen)[:, None] // place % m
+    else:
+        d = _distinct_rows(np.concatenate(
+            [_distinct_rows(_block_dets(shape, rows)) for rows in chunks]))
+    return d[_unit_lut(m)[d].all(axis=1)]
+
+
+def _span(gens: np.ndarray, m: int) -> np.ndarray:
+    """The rows of the subgroup of ((Z/m)^x)^k generated by the rows of
+    ``gens``, which are unit tuples; needs m^k < 2^63 for the base-m codes.
+
+    The group is abelian, so adjoining g to a subgroup G gives the union of
+    the cosets g^i*G for i < j, where j is the least power with g^j in G.
+    That union is built by doubling: if T holds the first n cosets, T and
+    g^n*T together hold the first 2n, and T is the whole union exactly when
+    g^n lies in T.  Each extension is one membership pass against the
+    sorted codes of T, so adjoining g takes about log2(j) extensions, and
+    all of them together number at most log2 of the order of the span.
+    """
+    k = gens.shape[1]
+    place = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    group = np.full((1, k), 1 % m, dtype=np.int64)
+    # the sorted codes of the group, closed by a sentinel above every code
+    codes = np.array([group[0] @ place, m**k], dtype=np.int64)
+
+    def outside(rows: np.ndarray) -> np.ndarray:
+        c = rows @ place
+        return codes[codes.searchsorted(c)] != c
+
+    while len(gens := gens[outside(gens)]):
+        power = gens[0]
+        while outside(power[None])[0]:
+            new = group * power % m
+            group = np.concatenate((group, new[outside(new)]))
+            codes = np.sort(np.append(group @ place, m**k))
+            power = power * power % m
+    return group
+
+
+def _index(d: np.ndarray, m: int) -> int:
+    """[((Z/m)^x)^k : D*S] = phi(m)^k * |D & S| / (|D| * |S|) for the
+    subgroup D given by its rows and the sign group S = {+-1}^k; the join
+    D*S is never built."""
+    k = d.shape[1]
+    d_in_s = int(((d == 1 % m) | (d == (m - 1) % m)).all(axis=1).sum())
+    signs = 1 if m <= 2 else 2
+    return totient(m) ** k * d_in_s // (len(d) * signs**k)
+
+
+def _probe(basis: np.ndarray, additive: list[int], m: int) -> np.ndarray:
+    """_PROBE elements of the subring, at the indices i*t mod |S| for i
+    below _PROBE: t is the integer nearest |S|/phi for the golden ratio phi,
+    raised to the next value prime to |S|, so the indices are distinct and
+    spread evenly over the whole index space, leading digits included."""
+    size = prod(additive)
+    stride = round(size * (5**0.5 - 1) / 2)
+    while gcd(stride, size) != 1:
+        stride += 1
+    index = np.array([i * stride % size for i in range(_PROBE)], dtype=np.int64)
+    return _combinations(basis, additive, index, m)
 
 
 # -- public operations -------------------------------------------------------
@@ -434,7 +552,8 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
 
         count = [((Z/m)^x)^k : D*S] = phi(m)^k * |D & S| / (|D| * |S|)
 
-    where D & S is the intersection; the join D*S is never built.
+    where D & S is the intersection.  A whole-ring subring, or one whose
+    probe already gives index 1, returns 1 without the scan of S.
     ``cap`` bounds the number of subring elements; blocks larger than
     ``MAX_DET_SIZE`` are rejected before the closure starts.
     """
@@ -442,20 +561,22 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
     if max(spec.blocks) > MAX_DET_SIZE:
         raise ResourceLimitError(
             f"block of size {max(spec.blocks)} is above the determinant "
-            f"limit of {MAX_DET_SIZE}"
+            f"limit of {MAX_DET_SIZE}",
+            phase="determinant", needed=max(spec.blocks), cap=MAX_DET_SIZE,
         )
     m = spec.m
     shape = _shape(m, spec.blocks)
     basis, additive = _closure(shape, [_mats_to_row(t) for t in spec.generators], cap)
-    units = _unit_lut(m)
-    d = np.empty((0, k), dtype=np.int64)
-    for rows in _elements(shape, basis, additive):
-        dets = _block_dets(shape, rows)
-        # det is a homomorphism, so the unit determinants form the subgroup D
-        d = _distinct_rows(np.concatenate((d, dets[units[dets].all(axis=1)])))
-    d_in_s = int(((d == 1 % m) | (d == (m - 1) % m)).all(axis=1).sum())
+    size = prod(additive)
+    if size == m**shape.width:
+        return 1  # the whole ring: det maps its units onto ((Z/m)^x)^k
     signs = 1 if m <= 2 else 2
-    return totient(m) ** k * d_in_s // (len(d) * signs**k)
+    if (4 * _PROBE < size < 2**63 and m**k < 2**63
+            and signs**k * size >= totient(m) ** k):
+        probe = _unit_dets(shape, [_probe(basis, additive, m)], _PROBE)
+        if _index(_span(probe, m), m) == 1:
+            return 1
+    return _index(_unit_dets(shape, _elements(shape, basis, additive), size), m)
 
 
 def genus(spec: OrderSpec, cap: int = DEFAULT_CAP) -> GenusResult:

@@ -345,18 +345,27 @@ class TestDistinctRows:
             assert matrices._distinct_rows(a[:, 0]).tolist() == self.by_set(a[:, 0])
 
     def test_genus_path_does_not_import_numpy_ma(self, subprocess_env):
-        # np.unique imports numpy.ma on its first call, a fixed cost per process
+        # np.unique imports numpy.ma on its first call, and numpy.random
+        # takes longer to import than a small genus; the genus path takes
+        # the probe of a proper subring (upper triangular 2x2 at m = 12)
         code = (
             "import sys\n"
-            "from genuskit import genus, pullback_spec, stable_image_order\n"
+            "import genuskit.orders as orders\n"
+            "from genuskit import MatModM, OrderSpec, genus, pullback_spec\n"
+            "from genuskit import stable_image_order\n"
+            "probes, span = [], orders._span\n"
+            "orders._span = lambda *a: probes.append(1) or span(*a)\n"
+            "gens = ((MatModM(12, 2, (1, 0, 0, 0)),), (MatModM(12, 2, (0, 1, 0, 0)),))\n"
+            "assert genus(OrderSpec(m=12, blocks=(2,), generators=gens)).total == 1\n"
+            "assert probes\n"
             "assert genus(pullback_spec(12)).total == 2\n"
             "assert stable_image_order(2, 5) == 240\n"
-            "print('numpy.ma' in sys.modules)\n"
+            "print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=subprocess_env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
 
 class TestOrderFunctions:
@@ -371,8 +380,10 @@ class TestOrderFunctions:
     @pytest.mark.parametrize("order, size", [(gl_order, 480), (stable_image_order, 240)])
     def test_cap_bounds_the_scan(self, order, size):
         # the scan of 2x2 matrices mod 5 has 5^4 = 625 candidates
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="625 candidates") as info:
             order(2, 5, cap=624)
+        e = info.value
+        assert (e.phase, e.needed, e.cap, e.lower_bound) == ("scan", 625, 624, False)
         assert order(2, 5, cap=625) == size
         with pytest.raises(ValueError):
             order(0, 5)

@@ -1,6 +1,7 @@
 import json
 import random
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 import pytest
@@ -826,3 +827,233 @@ class TestJsonLoaderProperties:
     def test_round_trip(self, spec):
         data = json.loads(json.dumps(order_spec_to_dict(spec)))
         assert order_spec_from_dict(data) == spec
+
+
+def units_spec(m, blocks, cells):
+    """Generators that are single matrix units: for each (b, i, j) in
+    cells, e_ij in block b and zero in the other blocks."""
+    gens = []
+    for b, i, j in cells:
+        tup = []
+        for c, r in enumerate(blocks):
+            flat = [0] * (r * r)
+            if c == b:
+                flat[i * r + j] = 1
+            tup.append(MatModM(m, r, tuple(flat)))
+        gens.append(tuple(tup))
+    return OrderSpec(m=m, blocks=tuple(blocks), generators=tuple(gens))
+
+
+def forbid(monkeypatch, *names):
+    for name in names:
+        def fail(*args, name=name):
+            raise AssertionError(f"{name} was called")
+
+        monkeypatch.setattr(orders, name, fail)
+
+
+def spy(monkeypatch, name):
+    calls = []
+    real = getattr(orders, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(orders, name, wrapper)
+    return calls
+
+
+def scan_route(spec):
+    """genus_relative with neither shortcut: the streamed scan of all of S."""
+    shape = matrices._shape(spec.m, spec.blocks)
+    rows = [orders._mats_to_row(t) for t in spec.generators]
+    basis, additive = orders._closure(shape, rows, matrices.DEFAULT_CAP)
+    chunks = orders._elements(shape, basis, additive)
+    return orders._index(orders._unit_dets(shape, chunks, prod(additive)), spec.m)
+
+
+def subring_size(spec):
+    shape = matrices._shape(spec.m, spec.blocks)
+    rows = [orders._mats_to_row(t) for t in spec.generators]
+    return prod(orders._closure(shape, rows, 10**30)[1])
+
+
+# Mat_3(Z/5), with 5^9 elements, and Z/9 x Mat_2(Z/9), with 9^5
+WHOLE_RINGS = [
+    units_spec(5, (3,), [(0, 0, 1), (0, 1, 0), (0, 1, 2), (0, 2, 1)]),
+    units_spec(9, (1, 2), [(0, 0, 0), (1, 0, 1), (1, 1, 0)]),
+]
+# upper triangular blocks: the diagonal entries are free, so det(K) is all
+# of ((Z/m)^x)^k and the genus is 1, but S is a proper subring
+TRIANGULAR = [
+    units_spec(12, (2,), [(0, 0, 0), (0, 0, 1)]),
+    units_spec(5, (2, 2), [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]),
+]
+
+
+class TestShortcuts:
+    @pytest.mark.parametrize("spec", WHOLE_RINGS, ids=["3@5", "1,2@9"])
+    def test_whole_ring_needs_no_scan(self, monkeypatch, spec):
+        forbid(monkeypatch, "_elements", "_span")
+        width = sum(r * r for r in spec.blocks)
+        assert subring_size(spec) == spec.m**width
+        assert genus(spec).total == 1
+
+    @pytest.mark.parametrize("spec", WHOLE_RINGS, ids=["3@5", "1,2@9"])
+    def test_closure_stops_once_the_span_is_whole(self, monkeypatch, spec):
+        # no product is reduced against a basis whose pivots are all 1
+        top_pivots = []
+        real = orders._outside
+
+        def outside(basis, pivots, m, v):
+            top_pivots.append(max(pivots))
+            return real(basis, pivots, m, v)
+
+        monkeypatch.setattr(orders, "_outside", outside)
+        width = sum(r * r for r in spec.blocks)
+        assert subring_size(spec) == spec.m**width
+        assert top_pivots and min(top_pivots) > 1
+
+    @pytest.mark.parametrize("spec", TRIANGULAR, ids=["2@12", "2,2@5"])
+    def test_probe_settles_a_proper_subring(self, monkeypatch, spec):
+        size = subring_size(spec)
+        assert 4 * orders._PROBE < size < spec.m ** sum(r * r for r in spec.blocks)
+        assert scan_route(spec) == 1
+        forbid(monkeypatch, "_elements")
+        assert genus(spec).total == 1
+
+    def test_genus_above_one_takes_the_full_scan(self, monkeypatch):
+        # 7^4 = 2401 elements, above the probe size; genus phi(7)/2 = 3
+        spans = spy(monkeypatch, "_span")
+        scans = spy(monkeypatch, "_elements")
+        assert genus(matrix_pullback_spec(7, 2)).total == 3
+        assert len(spans) == len(scans) == 1
+
+    def test_probe_skipped_when_index_one_is_impossible(self, monkeypatch):
+        # |S| = 10007 scalars but 4 * |S| < phi(10007)^2, so genus > 1
+        forbid(monkeypatch, "_span")
+        assert genus(pullback_spec(10007)).total == genus_pullback_formula(10007)
+
+    @pytest.mark.parametrize("spec", [WHOLE_RINGS[0], TRIANGULAR[0]],
+                             ids=["whole", "triangular"])
+    def test_genus_one_above_the_cap_still_raises(self, monkeypatch, spec):
+        forbid(monkeypatch, "_elements", "_span")
+        size = subring_size(spec)
+        with pytest.raises(ResourceLimitError, match=str(size)) as info:
+            genus(spec, cap=size - 1)
+        assert info.value.needed == size
+
+    def test_shortcuts_match_the_scan(self):
+        # a diagonal copy repeats one generator in every block, which
+        # gives genus > 1 on subrings above the probe size
+        rng = random.Random(2024)
+        shapes = [((2,), (8, 9, 10, 12)), ((1, 2), (5, 6, 7)),
+                  ((1, 1, 1), (12, 24, 30)), ((2, 2), (3, 4, 5, 6, 7, 8)),
+                  ((3,), (3,)), ((1, 1, 1, 1), (6, 10))]
+        seen = {"whole": 0, "probed, one": 0, "probed, above one": 0}
+        for _ in range(300):
+            blocks, levels = rng.choice(shapes)
+            m = rng.choice(levels)
+            r = blocks[0]
+            if len(set(blocks)) == 1 and rng.random() < 0.5:
+                xs = [MatModM(m, r, [rng.randrange(m) for _ in range(r * r)])
+                      for _ in range(rng.randint(1, 2))]
+                spec = OrderSpec(m=m, blocks=blocks,
+                                 generators=tuple((x,) * len(blocks) for x in xs))
+            else:
+                spec = random_spec(rng, m, blocks, n_gens=rng.randint(1, 3))
+            size = subring_size(spec)
+            if size > 200_000:
+                continue
+            got = genus_relative(spec)
+            assert got == scan_route(spec), spec
+            whole = size == m ** sum(r * r for r in blocks)
+            probed = 4 * orders._PROBE < size and not whole
+            seen["whole"] += whole
+            seen["probed, one"] += probed and got == 1
+            seen["probed, above one"] += probed and got > 1
+        assert min(seen.values()) >= 3, seen
+
+    @pytest.mark.parametrize("m, k", [(8, 3), (12, 2), (15, 2), (30, 3), (7, 1)])
+    def test_span_matches_breadth_first_closure(self, m, k):
+        rng = random.Random(m * k)
+        unit = [u for u in range(m) if np.gcd(u, m) == 1]
+        for _ in range(5):
+            gens = [tuple(rng.choice(unit) for _ in range(k))
+                    for _ in range(rng.randint(0, 4))]
+            arr = np.array(gens, dtype=np.int64).reshape(-1, k)
+            rows = orders._span(arr, m).tolist()
+            group, frontier = {(1,) * k}, [(1,) * k]
+            while frontier:
+                frontier = [
+                    y for y in {tuple(a * b % m for a, b in zip(x, g))
+                                for x in frontier for g in gens}
+                    if y not in group
+                ]
+                group.update(frontier)
+            assert len(rows) == len(group) and set(map(tuple, rows)) == group
+
+    def test_both_determinant_paths_agree(self, monkeypatch):
+        # a boolean map over the m^k codes, or per-chunk dedupe and a merge,
+        # over chunks of at most 7 rows, so that no chunk has every tuple
+        rng = random.Random(17)
+        monkeypatch.setattr(orders, "_CHUNK", 7)
+        for blocks, m in [((1, 1), 10), ((2,), 12), ((1, 1, 1), 6), ((1, 2), 4)]:
+            spec = random_spec(rng, m, blocks, n_gens=2)
+            shape = matrices._shape(m, blocks)
+            rows = [orders._mats_to_row(t) for t in spec.generators]
+            basis, additive = orders._closure(shape, rows, 10**6)
+            chunks = [c.copy() for c in orders._elements(shape, basis, additive)]
+            assert len(chunks) > 1
+            units = subring_units(subring_closure(spec), m, blocks)
+            expected = {tuple(det(x).value for x in t) for t in units.carrier}
+            k = len(blocks)
+            by_map = orders._unit_dets(shape, chunks, m**k)
+            by_merge = orders._unit_dets(shape, chunks, m**k // 8 - 1)
+            for d in (by_map, by_merge):
+                assert len(d) == len(expected) and set(map(tuple, d.tolist())) == expected
+
+
+class TestResourceLimitFields:
+    def test_level_above_cap(self):
+        with pytest.raises(ResourceLimitError,
+                           match="^a subring mod 30 exceeds the cap of 3$") as info:
+            genus(pullback_spec(30), cap=3)
+        e = info.value
+        assert (e.phase, e.needed, e.cap, e.lower_bound) == ("closure", 30, 3, True)
+
+    def test_level_past_int64(self):
+        with pytest.raises(ResourceLimitError, match="int64") as info:
+            genus(pullback_spec(2**40), cap=2**62)
+        e = info.value
+        assert (e.phase, e.needed, e.cap, e.lower_bound) == (
+            "closure", (2**40 - 1) ** 2, 2**63 - 1, False)
+
+    def test_subring_above_cap(self):
+        with pytest.raises(ResourceLimitError, match="^the subring has 2401 "
+                           "elements, above the cap of 100$") as info:
+            genus(matrix_units_spec(7), cap=100)
+        e = info.value
+        assert (e.phase, e.needed, e.cap, e.lower_bound) == ("closure", 2401, 100, False)
+
+    def test_basis_past_int64(self, monkeypatch):
+        # upper triangular 2x2 at m = 2^31 - 1: products of two entries
+        # stay in range, but a sum over the 3 basis rows does not, and the
+        # refusal comes before any enumeration
+        forbid(monkeypatch, "_elements", "_probe")
+        m = 2**31 - 1
+        spec = units_spec(m, (2,), [(0, 0, 0), (0, 0, 1)])
+        for call in (genus, subring_closure):
+            with pytest.raises(ResourceLimitError, match="3 basis rows") as info:
+                call(spec, cap=2**100)
+            e = info.value
+            assert (e.phase, e.needed, e.cap, e.lower_bound) == (
+                "enumeration", 3 * (m - 1) ** 2, 2**63 - 1, False)
+
+    def test_block_above_det_limit(self):
+        with pytest.raises(ResourceLimitError, match="size 9") as info:
+            genus(OrderSpec(m=2, blocks=(1, 9), generators=()))
+        e = info.value
+        assert (e.phase, e.needed, e.cap, e.lower_bound) == (
+            "determinant", 9, orders.MAX_DET_SIZE, False)
