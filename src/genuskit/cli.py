@@ -2,7 +2,9 @@
 
 One verb per invocation; results go to stdout, diagnostics to stderr.
 Exit status: 0 success, 1 invalid input, 2 resource limit exceeded.
-With --json the output is a single object {verb, inputs, result, elapsedMs}.
+With --json the output is a single object {verb, inputs, result, elapsedMs};
+a resource limit prints {verb, error: {message, phase, needed, cap,
+lowerBound}} instead, next to the usual line on stderr.
 main() may be called any number of times in one process: the argument
 parser is built on the first call and reused, while the cap and the
 environment are read afresh on every call.
@@ -242,6 +244,15 @@ def main(argv=None) -> int:
         return 1
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        if args.json:
+            error = {
+                "message": str(exc),
+                "phase": exc.phase,
+                "needed": exc.needed,
+                "cap": exc.cap,
+                "lowerBound": exc.lower_bound,
+            }
+            print(json.dumps({"verb": args.verb, "error": error}, sort_keys=True))
         return 2
 
     if args.json:

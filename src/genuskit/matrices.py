@@ -8,17 +8,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
 from .cosets import FiniteGroup
 from .errors import ResourceLimitError
-from .rings import Residue
+from .rings import Residue, prime_powers
 
 # Default cap.  For enumerate_gl, stable_image, gl_order and
 # stable_image_order it bounds m^(r^2), the number of candidate matrices
-# scanned and of entries in the visited map; the two order functions count
-# the scanned codes and build no group.  For orders.genus and
+# scanned and of entries in the visited map.  gl_order checks the same bound
+# but scans nothing: it uses the closed form.  stable_image_order counts the
+# codes its frontier search reaches and builds no group.  For orders.genus and
 # orders.subring_closure it bounds |S|, the number of subring elements, and
 # hence m, since the subring holds all m scalars.  The subring is held as a
 # basis, so |S| is exact before any element exists; the cap is checked then,
@@ -269,22 +271,62 @@ def _gl_flat(r: int, m: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
+def _row_table(gens: list[MatModM], lo: int, hi: int) -> np.ndarray:
+    """T[g, c - lo] is the code of v*g for the g-th generator g and the row
+    v of length r with base-m code c, the first entry most significant, for
+    the row codes lo <= c < hi; shape (#gens, hi - lo)."""
+    r, m = gens[0].size, gens[0].modulus
+    place = m ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    # column c - lo holds the entries of row code c
+    digits = np.arange(lo, hi, dtype=np.int64) // place[:, None] % m
+    return np.array([place @ (np.array(g.rows).T @ digits % m) for g in gens])
+
+
+def _right_products(table: np.ndarray, codes: np.ndarray, r: int) -> np.ndarray:
+    """Codes of x*g for every generator g (axis 0) and every code x (axis 1).
+
+    Right multiplication by g maps each row of x to its product with g on
+    its own, so with M = m^r the code of x*g is sum_a T[g, x_a] * M^(r-1-a)
+    over the row codes x_a = code // M^(r-1-a) % M of x.
+    """
+    rows_m = table.shape[1]
+    place = rows_m ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    return sum(table[:, codes // place[a] % rows_m] * place[a] for a in range(r))
+
+
 def _stable_flat(r: int, m: int) -> np.ndarray:
     """Ascending codes of the closure of the elementary generators: a
-    frontier search that right-multiplies each frontier by all generators.
-    What was reached is marked in a boolean map over all m^(r^2) codes,
-    which _check_scan_cap bounds."""
-    shape = _shape(m, (r,))
+    frontier search that right-multiplies each frontier by all generators
+    through their row tables, so no matrix is decoded or multiplied.  What
+    was reached is marked in a boolean map over all m^(r^2) codes, which
+    _check_scan_cap bounds."""
+    gens = elementary_generators(r, m)
+    rows_m = m**r
+    # The table is filled a block of _CHUNK row codes at a time, when the
+    # search first meets a row in the block.  For r >= 2 the m^r row codes
+    # are far fewer than the m^(r^2) codes of the map and fill one block at
+    # the default cap; for r = 1 they are all the codes, and the search
+    # meets only +-1.  The pages of a block of np.empty stay untouched, and
+    # so out of the resident set, until the block is filled.
+    table = np.empty((len(gens), rows_m), dtype=np.int64)
+    todo = np.ones(-(-rows_m // _CHUNK), dtype=bool)
     place = m ** np.arange(r * r - 1, -1, -1, dtype=np.int64)
-    gens = np.array([g.entries for g in elementary_generators(r, m)])
     seen = np.zeros(m ** (r * r), dtype=bool)
     frontier = np.array([MatModM.identity(r, m).entries]) @ place
     seen[frontier] = True
     while len(frontier):
         reached = []
         for lo in range(0, len(frontier), _CHUNK):
-            rows = _decode(frontier[lo : lo + _CHUNK], r, m)
-            codes = _mul_rows(shape, rows[:, None], gens) @ place
+            chunk = frontier[lo : lo + _CHUNK]
+            if todo.any():
+                hit = np.zeros_like(todo)
+                for a in range(r):
+                    hit[chunk // rows_m**a % rows_m // _CHUNK] = True
+                for b in np.flatnonzero(hit & todo):
+                    block = slice(b * _CHUNK, min((b + 1) * _CHUNK, rows_m))
+                    table[:, block] = _row_table(gens, block.start, block.stop)
+                todo &= ~hit
+            codes = _right_products(table, chunk, r).ravel()
             new = _distinct_rows(codes[~seen[codes]])
             seen[new] = True
             reached.append(new)
@@ -300,18 +342,35 @@ def _group(codes: np.ndarray, r: int, m: int, name: str) -> FiniteGroup:
     return FiniteGroup(carrier, mat_mul, MatModM.identity(r, m), name=name)
 
 
+# Python prints an int of at most 4,300 digits (sys.get_int_max_str_digits),
+# so a scan of 10^4300 candidates or more is named as m^(r^2) in the error,
+# and 10^4299 stands for it as a lower bound
+_UNPRINTABLE = 10**4300
+
+
 def _check_scan_cap(r: int, m: int, cap: int) -> None:
     if r < 1:
         raise ValueError(f"matrix size must be >= 1, got {r}")
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
-    scan = m ** (r * r)
-    if scan > cap:
-        raise ResourceLimitError(
-            f"enumerating {r}x{r} matrices mod {m} needs a scan of {scan} "
-            f"candidates, above the cap of {cap}",
-            phase="scan", needed=scan, cap=cap,
-        )
+    # m^(r^2) >= 2^low, so it is built only when it may be short enough to
+    # print or the cap is not, and a huge r is refused at once
+    low = (m.bit_length() - 1) * r * r
+    if low < _UNPRINTABLE.bit_length() or cap >= _UNPRINTABLE:
+        scan = m ** (r * r)
+        if scan <= cap:
+            return
+        if scan < _UNPRINTABLE:
+            raise ResourceLimitError(
+                f"enumerating {r}x{r} matrices mod {m} needs a scan of {scan} "
+                f"candidates, above the cap of {cap}",
+                phase="scan", needed=scan, cap=cap,
+            )
+    raise ResourceLimitError(
+        f"enumerating {r}x{r} matrices mod {m} needs a scan of {m}^{r * r} "
+        f"candidates, above the cap of {cap}",
+        phase="scan", needed=_UNPRINTABLE // 10, cap=cap, lower_bound=True,
+    )
 
 
 def enumerate_gl(r: int, m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
@@ -331,14 +390,21 @@ def stable_image(r: int, m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
 
 
 def gl_order(r: int, m: int, cap: int = DEFAULT_CAP) -> int:
-    """|GL(r, Z/m)|, counted from the code scan of enumerate_gl without
-    building the group."""
+    """|GL(r, Z/m)| in closed form, prod over p^e || m of
+    p^((e-1) r^2) * prod_{i<r} (p^r - p^i): by the CRT GL(r, Z/m) is the
+    product of the GL(r, Z/p^e), and reduction mod p maps GL(r, Z/p^e) onto
+    GL(r, Z/p) with kernel I + p*Mat(r, Z/p^e).  Nothing is scanned, but
+    the cap on the scan of enumerate_gl is checked all the same, so that
+    the two refuse the same inputs."""
     _check_scan_cap(r, m, cap)
-    return len(_gl_flat(r, m))
+    order = 1
+    for p, e in prime_powers(m):
+        order *= p ** ((e - 1) * r * r) * prod(p**r - p**i for i in range(r))
+    return order
 
 
 def stable_image_order(r: int, m: int, cap: int = DEFAULT_CAP) -> int:
-    """|E(r, Z/m)|, counted from the frontier search of stable_image without
-    building the group."""
+    """|E(r, Z/m)|, counted from the frontier search of stable_image (on the
+    per-row generator tables) without building the group."""
     _check_scan_cap(r, m, cap)
     return len(_stable_flat(r, m))

@@ -1,4 +1,4 @@
-"""Exact arithmetic in Z/m: residues, units, gcd, Euler totient."""
+"""Exact arithmetic in Z/m: residues, units, gcd, prime powers, Euler totient."""
 
 from __future__ import annotations
 
@@ -28,19 +28,35 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def totient(m: int) -> int:
-    """Euler totient from the prime factors of m, found by trial division."""
+def prime_powers(m: int) -> list[tuple[int, int]]:
+    """The pairs (p, e) with p^e exactly dividing m, p ascending, found by
+    trial division; m == 1 has none."""
     if m < 1:
-        raise ValueError(f"totient is defined for m >= 1, got {m}")
-    result = rest = m
+        raise ValueError(f"prime powers are defined for m >= 1, got {m}")
+    found = []
+    rest = m
     p = 2
     while p * p <= rest:
         if rest % p == 0:
-            result -= result // p
+            e = 0
             while rest % p == 0:
                 rest //= p
+                e += 1
+            found.append((p, e))
         p += 1
-    return result - result // rest if rest > 1 else result
+    if rest > 1:
+        found.append((rest, 1))
+    return found
+
+
+def totient(m: int) -> int:
+    """Euler totient from the prime factors of m."""
+    if m < 1:
+        raise ValueError(f"totient is defined for m >= 1, got {m}")
+    result = m
+    for p, _ in prime_powers(m):
+        result -= result // p
+    return result
 
 
 def inverse_mod(a: int, m: int) -> int | None:

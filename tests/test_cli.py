@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -185,6 +186,58 @@ class TestCap:
         monkeypatch.setattr(matrices, "_group", no_group)
         assert run(capsys, "gl-order", "2", "3")[:2] == (0, "48\n")
         assert run(capsys, "stable-image", "2", "5")[:2] == (0, "240\n")
+
+    def test_gl_order_scans_nothing(self, capsys, monkeypatch):
+        import genuskit.matrices as matrices
+
+        def no_scan(*args):
+            raise AssertionError("the GL scan ran")
+
+        monkeypatch.setattr(matrices, "_gl_flat", no_scan)
+        assert run(capsys, "gl-order", "3", "3")[:2] == (0, "11232\n")
+
+    @pytest.mark.parametrize("verb", ["gl-order", "stable-image"])
+    @pytest.mark.parametrize("r", [100, 2000])
+    def test_huge_r_is_a_resource_limit_at_once(self, capsys, verb, r):
+        # 10^(r^2) is past Python's 4,300-digit limit for printing an int
+        start = time.perf_counter()
+        status, out, err = run(capsys, verb, str(r), "10")
+        assert time.perf_counter() - start < 1.0
+        assert (status, out) == (2, "")
+        assert err == (f"resource limit: enumerating {r}x{r} matrices mod 10 "
+                       f"needs a scan of 10^{r * r} candidates, above the cap "
+                       "of 2000000\n")
+
+
+class TestJsonLimits:
+    def test_scan_limit(self, capsys):
+        status, out, err = run(capsys, "gl-order", "2", "5", "--cap", "624", "--json")
+        message = ("enumerating 2x2 matrices mod 5 needs a scan of 625 "
+                   "candidates, above the cap of 624")
+        assert status == 2
+        assert err == f"resource limit: {message}\n"
+        assert json.loads(out) == {
+            "verb": "gl-order",
+            "error": {"message": message, "phase": "scan", "needed": 625,
+                      "cap": 624, "lowerBound": False},
+        }
+
+    def test_huge_r_limit_is_a_lower_bound(self, capsys):
+        status, out, err = run(capsys, "stable-image", "2000", "10", "--json")
+        assert status == 2
+        payload = json.loads(out)
+        assert payload["verb"] == "stable-image"
+        assert err == f"resource limit: {payload['error']['message']}\n"
+        assert payload["error"] == {
+            "message": "enumerating 2000x2000 matrices mod 10 needs a scan of "
+                       "10^4000000 candidates, above the cap of 2000000",
+            "phase": "scan", "needed": 10**4299, "cap": 2_000_000,
+            "lowerBound": True,
+        }
+
+    def test_without_json_stdout_stays_empty(self, capsys):
+        status, out, _ = run(capsys, "gl-order", "2", "5", "--cap", "624")
+        assert (status, out) == (2, "")
 
 
 class TestJsonStability:

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -387,6 +388,90 @@ class TestOrderFunctions:
         assert order(2, 5, cap=625) == size
         with pytest.raises(ValueError):
             order(0, 5)
+
+
+class TestClosedFormAndRowTables:
+    @pytest.mark.parametrize(
+        "r, m", [(r, m) for r in (1, 2) for m in range(1, 17)]
+        + [(3, m) for m in range(1, 5)] + [(4, 1), (4, 2)]
+    )
+    def test_gl_order_matches_the_scan(self, r, m):
+        assert gl_order(r, m) == len(matrices._gl_flat(r, m))
+
+    @pytest.mark.parametrize(
+        "r, m", [(1, 1), (1, 7), (1, 12), (2, 1), (2, 5), (2, 6), (2, 16),
+                 (3, 1), (3, 2), (3, 4), (4, 1), (4, 2), (4, 3)]
+    )
+    def test_row_table_matches_mul_rows(self, r, m):
+        rng = np.random.default_rng(r * 100 + m)
+        shape = matrices._shape(m, (r,))
+        place = m ** np.arange(r * r - 1, -1, -1, dtype=np.int64)
+        rows = rng.integers(0, m, size=(60, r * r), dtype=np.int64)
+        mats = elementary_generators(r, m)
+        gens = np.array([g.entries for g in mats])
+        expected = matrices._mul_rows(shape, rows[:, None], gens) @ place
+        table = matrices._row_table(mats, 0, m**r)
+        assert table.shape == (len(gens), m**r)
+        # a block of the table is the same slice of the whole
+        hi = max(1, m**r // 2)
+        assert (matrices._row_table(mats, hi // 2, hi) == table[:, hi // 2 : hi]).all()
+        got = matrices._right_products(table, rows @ place, r)
+        assert got.tolist() == expected.T.tolist()
+
+    def test_stable_order_multiplies_no_matrix(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a matrix was decoded or multiplied")
+
+        monkeypatch.setattr(matrices, "_mul_rows", fail)
+        monkeypatch.setattr(matrices, "_decode", fail)
+        # orders from the parametrized carrier and brute-scan tests above
+        for r, m, order in [(1, 1, 1), (1, 7, 2), (2, 1, 1), (2, 5, 240),
+                            (2, 16, 6144), (3, 3, 11232), (4, 2, 20160)]:
+            assert stable_image_order(r, m) == order
+
+    def test_table_blocks_fill_as_the_search_meets_them(self, monkeypatch):
+        # with 5-code blocks and chunks, the table of (2, 16) has 52 blocks
+        # and the search passes many chunks; r = 1 at m = 100003 fills only
+        # the blocks of the row codes 1 and m - 1
+        expected = {(r, m): stable_image_order(r, m)
+                    for r, m in [(1, 12), (2, 6), (2, 16), (3, 2), (3, 3)]}
+        monkeypatch.setattr(matrices, "_CHUNK", 5)
+        for (r, m), order in expected.items():
+            assert stable_image_order(r, m) == order
+        monkeypatch.undo()
+        calls = []
+        real = matrices._row_table
+        monkeypatch.setattr(matrices, "_row_table",
+                            lambda *args: calls.append(args[1:]) or real(*args))
+        assert matrices._stable_flat(1, 100003).tolist() == [1, 100002]
+        assert calls == [(0, 1 << 15), (3 << 15, 100003)]
+
+    @pytest.mark.parametrize("order", [gl_order, stable_image_order, enumerate_gl])
+    @pytest.mark.parametrize("r, m", [(100, 10), (2000, 10), (100, 3)])
+    def test_huge_r_is_refused_at_once(self, order, r, m):
+        # m^(r^2) has more than the 4,300 digits Python prints, so it is
+        # named as m^(r^2); 3^(100^2) is short enough to build and compare,
+        # the other two are refused from bit lengths alone (building
+        # 10^(2000^2) takes seconds)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError,
+                           match=rf"{m}\^{r * r} candidates") as info:
+            order(r, m)
+        assert time.perf_counter() - start < 1.0
+        e = info.value
+        assert (e.phase, e.needed, e.cap, e.lower_bound) == (
+            "scan", 10**4299, matrices.DEFAULT_CAP, True)
+        # m^(r^2) > needed > cap, compared by bit lengths
+        assert r * r * math.log2(m) > e.needed.bit_length() > e.cap.bit_length()
+        assert len(str(e.needed)) == 4300
+
+    def test_largest_printable_scan_is_named_exactly(self):
+        # 10^(65^2) has 4,226 digits, so it is built and printed as before
+        with pytest.raises(ResourceLimitError) as info:
+            gl_order(65, 10)
+        e = info.value
+        assert (e.needed, e.lower_bound) == (10**4225, False)
+        assert f"a scan of {10**4225} candidates" in str(e)
 
 
 class TestArgumentValidation:

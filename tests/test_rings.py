@@ -9,6 +9,7 @@ from genuskit.rings import (
     ext_gcd,
     gcd,
     inverse_mod,
+    prime_powers,
     totient,
     unit_group,
     units,
@@ -53,6 +54,27 @@ class TestTotient:
     def test_multiplicative_on_coprime_pairs(self, a, b):
         if math.gcd(a, b) == 1:
             assert totient(a * b) == totient(a) * totient(b)
+
+
+class TestPrimePowers:
+    def test_spec_values(self):
+        assert prime_powers(1) == []
+        assert prime_powers(24) == [(2, 3), (3, 1)]
+        assert prime_powers(10**12 + 39) == [(10**12 + 39, 1)]  # a prime
+
+    def test_exact_prime_powers_up_to_2000(self):
+        for m in range(1, 2001):
+            pairs = prime_powers(m)
+            assert math.prod(p**e for p, e in pairs) == m
+            assert [p for p, _ in pairs] == sorted({p for p, _ in pairs})
+            for p, e in pairs:
+                assert e >= 1 and all(p % q for q in range(2, p))
+                assert (m // p**e) % p != 0
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_nonpositive(self, m):
+        with pytest.raises(ValueError):
+            prime_powers(m)
 
 
 class TestGcd:
