@@ -67,16 +67,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("totient", parents=[common], help="Euler totient of m")
     p.add_argument("m", type=int)
 
-    p = sub.add_parser("gl-order", parents=[common], help="order of GL(r, Z/m)")
-    p.add_argument("r", type=int)
-    p.add_argument("m", type=int)
-
-    p = sub.add_parser(
-        "stable-image", parents=[common],
-        help="order of the subgroup of GL(r, Z/m) generated by elementary matrices",
-    )
-    p.add_argument("r", type=int)
-    p.add_argument("m", type=int)
+    for verb, group in [
+        ("gl-order", "GL(r, Z/m)"),
+        ("stable-image", "the subgroup of GL(r, Z/m) generated by elementary matrices"),
+    ]:
+        p = sub.add_parser(verb, parents=[common], help=f"order of {group}")
+        p.add_argument("r", type=int)
+        p.add_argument("m", type=int)
 
     p = sub.add_parser(
         "double-cosets", parents=[common],
@@ -150,11 +147,9 @@ def _run_verb(args, cap: int) -> tuple[object, dict, list[str], int]:
     if verb == "totient":
         value = totient(args.m)
         return value, {"m": args.m}, [str(value)], 0
-    if verb == "gl-order":
-        value = gl_order(args.r, args.m, cap)
-        return value, {"r": args.r, "m": args.m}, [str(value)], 0
-    if verb == "stable-image":
-        value = stable_image_order(args.r, args.m, cap)
+    if verb in ("gl-order", "stable-image"):
+        order = gl_order if verb == "gl-order" else stable_image_order
+        value = order(args.r, args.m, cap)
         return value, {"r": args.r, "m": args.m}, [str(value)], 0
     if verb == "double-cosets":
         spec = load_order_spec(args.spec)

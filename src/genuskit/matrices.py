@@ -14,22 +14,29 @@ import numpy as np
 
 from .cosets import FiniteGroup
 from .errors import ResourceLimitError
-from .rings import Residue, prime_powers
+from .rings import Residue, prime_powers, sign_count, totient
 
-# Default cap.  For enumerate_gl, stable_image, gl_order and
-# stable_image_order it bounds m^(r^2), the number of candidate matrices
-# scanned and of entries in the visited map.  gl_order checks the same bound
-# but scans nothing: it uses the closed form.  stable_image_order counts the
-# codes its frontier search reaches and builds no group.  For orders.genus and
-# orders.subring_closure it bounds |S|, the number of subring elements, and
-# hence m, since the subring holds all m scalars.  The subring is held as a
-# basis, so |S| is exact before any element exists; the cap is checked then,
-# and the elements are only ever scanned a chunk at a time.
+# Default cap.  For enumerate_gl and stable_image it bounds m^(r^2), the
+# number of candidate matrices scanned and of entries in the visited map;
+# gl_order and stable_image_order use closed forms but check the same bound.
+# For orders.genus and orders.subring_closure it bounds |S|, the number of
+# subring elements, and hence m, since the subring holds all m scalars.  The
+# subring is held as a basis, so |S| is exact before any element exists; the
+# cap is checked then, and the elements are only ever scanned a chunk at a
+# time.
 DEFAULT_CAP = 2_000_000
 
 # Determinants use cofactor expansion, which is exact over Z/m for composite
 # m (no division) but exponential in the size; larger matrices are rejected.
 MAX_DET_SIZE = 4
+
+
+def _check_det_size(blocks) -> None:
+    """Refuse blocks above MAX_DET_SIZE, which _block_dets does not cover."""
+    if (r := max(blocks, default=1)) > MAX_DET_SIZE:
+        raise ResourceLimitError(
+            f"block of size {r} is above the determinant limit of {MAX_DET_SIZE}",
+            phase="determinant", needed=r, cap=MAX_DET_SIZE)
 
 
 @dataclass(frozen=True)
@@ -204,9 +211,10 @@ def _block_dets(shape: _Shape, rows: np.ndarray) -> np.ndarray:
     blocks take the Laplace expansion along the first two rows, six
     products of complementary 2x2 minors, each minor reduced first and the
     terms summed in three reduced pairs.  Every intermediate stays within
-    2*(m-1)^2 in absolute value, so the result is exact in int64 for
-    m <= 2^31, which covers the range r*(m-1)^2 < 2^63 that _mul_rows and
-    the subring closure admit for every r <= 4.
+    2*(m-1)^2 in absolute value, so the result is exact in int64 for m up
+    to 2^31, which covers the range r*(m-1)^2 < 2^63 that _mul_rows and
+    the subring closure admit for every r <= 4.  Larger blocks are not
+    covered; callers refuse them first through _check_det_size.
     """
     m = shape.m
     # column-major, so that each block's column is contiguous
@@ -299,7 +307,7 @@ def _stable_flat(r: int, m: int) -> np.ndarray:
     frontier search that right-multiplies each frontier by all generators
     through their row tables, so no matrix is decoded or multiplied.  What
     was reached is marked in a boolean map over all m^(r^2) codes, which
-    _check_scan_cap bounds."""
+    _check_scan_cap bounds.  It serves stable_image and criterion 4."""
     gens = elementary_generators(r, m)
     rows_m = m**r
     # The table is filled a block of _CHUNK row codes at a time, when the
@@ -376,6 +384,7 @@ def _check_scan_cap(r: int, m: int, cap: int) -> None:
 def enumerate_gl(r: int, m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """The group GL(r, Z/m) of matrices with invertible determinant."""
     _check_scan_cap(r, m, cap)
+    _check_det_size((r,))
     return _group(_gl_flat(r, m), r, m, f"GL({r}, Z/{m})")
 
 
@@ -404,7 +413,7 @@ def gl_order(r: int, m: int, cap: int = DEFAULT_CAP) -> int:
 
 
 def stable_image_order(r: int, m: int, cap: int = DEFAULT_CAP) -> int:
-    """|E(r, Z/m)|, counted from the frontier search of stable_image (on the
-    per-row generator tables) without building the group."""
-    _check_scan_cap(r, m, cap)
-    return len(_stable_flat(r, m))
+    """|E(r, Z/m)| = |GL(r, Z/m)| / phi(m) * |{+-1}|, as E = det^-1(+-1)
+    (Bass, 1964), which criterion 4 checks against the search of stable_image.
+    Through gl_order, it scans nothing and refuses what enumerate_gl refuses."""
+    return gl_order(r, m, cap) // totient(m) * sign_count(m)

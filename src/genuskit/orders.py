@@ -42,9 +42,9 @@ import numpy as np
 from .cosets import FiniteGroup
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .matrices import (_CHUNK, DEFAULT_CAP, MAX_DET_SIZE, MatModM,
-                       _block_dets, _distinct_rows, _mul_rows, _Shape, _shape,
-                       _unit_lut, mat_mul)
-from .rings import ext_gcd, totient
+                       _block_dets, _check_det_size, _distinct_rows, _mul_rows,
+                       _Shape, _shape, _unit_lut, mat_mul)
+from .rings import ext_gcd, is_sign, sign_count, totient
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,7 @@ def genus_pullback_formula(m: int) -> int:
     """Closed form for the genus of the congruence pullback of Z x Z at m."""
     if m < 1:
         raise ValueError(f"level must be >= 1, got {m}")
-    if m <= 2:
-        return 1
-    return totient(m) // 2  # totient(m) is even for m > 2
+    return totient(m) // sign_count(m)  # totient(m) is even for m > 2
 
 
 def pullback_spec(m: int) -> OrderSpec:
@@ -474,9 +472,8 @@ def _index(d: np.ndarray, m: int) -> int:
     subgroup D given by its rows and the sign group S = {+-1}^k; the join
     D*S is never built."""
     k = d.shape[1]
-    d_in_s = int(((d == 1 % m) | (d == (m - 1) % m)).all(axis=1).sum())
-    signs = 1 if m <= 2 else 2
-    return totient(m) ** k * d_in_s // (len(d) * signs**k)
+    d_in_s = int(is_sign(d, m).all(axis=1).sum())
+    return totient(m) ** k * d_in_s // (len(d) * sign_count(m) ** k)
 
 
 def _probe(basis: np.ndarray, additive: list[int], m: int) -> np.ndarray:
@@ -520,6 +517,7 @@ def subring_units(S, m: int, blocks) -> FiniteGroup:
     element), so the blockwise determinant test is exactly the unit test.
     """
     blocks = tuple(int(r) for r in blocks)
+    _check_det_size(blocks)
     shape = _shape(m, blocks)
     identity = tuple(MatModM.identity(r, m) for r in blocks)
     S = set(S)
@@ -558,21 +556,15 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
     ``MAX_DET_SIZE`` are rejected before the closure starts.
     """
     k = len(spec.blocks)
-    if max(spec.blocks) > MAX_DET_SIZE:
-        raise ResourceLimitError(
-            f"block of size {max(spec.blocks)} is above the determinant "
-            f"limit of {MAX_DET_SIZE}",
-            phase="determinant", needed=max(spec.blocks), cap=MAX_DET_SIZE,
-        )
+    _check_det_size(spec.blocks)
     m = spec.m
     shape = _shape(m, spec.blocks)
     basis, additive = _closure(shape, [_mats_to_row(t) for t in spec.generators], cap)
     size = prod(additive)
     if size == m**shape.width:
         return 1  # the whole ring: det maps its units onto ((Z/m)^x)^k
-    signs = 1 if m <= 2 else 2
     if (4 * _PROBE < size < 2**63 and m**k < 2**63
-            and signs**k * size >= totient(m) ** k):
+            and sign_count(m) ** k * size >= totient(m) ** k):
         probe = _unit_dets(shape, [_probe(basis, additive, m)], _PROBE)
         if _index(_span(probe, m), m) == 1:
             return 1
@@ -584,7 +576,7 @@ def genus(spec: OrderSpec, cap: int = DEFAULT_CAP) -> GenusResult:
     double-coset count, checked against the totient bound."""
     relative = genus_relative(spec, cap)
     k = len(spec.blocks)
-    bound = 1 if spec.m <= 2 else (totient(spec.m) // 2) ** k
+    bound = (totient(spec.m) // sign_count(spec.m)) ** k
     total = 1 * relative
     if total > bound:
         raise InternalInconsistencyError(

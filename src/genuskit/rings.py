@@ -1,4 +1,4 @@
-"""Exact arithmetic in Z/m: residues, units, gcd, prime powers, Euler totient."""
+"""Exact arithmetic in Z/m: residues, units, gcd, prime powers, totient, signs."""
 
 from __future__ import annotations
 
@@ -57,6 +57,16 @@ def totient(m: int) -> int:
     for p, _ in prime_powers(m):
         result -= result // p
     return result
+
+
+def sign_count(m: int) -> int:
+    """|{+-1}| in (Z/m)^x, the determinants of global units; 1 if 1 == -1."""
+    return len({1 % m, -1 % m})
+
+
+def is_sign(x, m: int):
+    """Elementwise x in {+-1} mod m, for an int or an array reduced mod m."""
+    return (x == 1 % m) | (x == -1 % m)
 
 
 def inverse_mod(a: int, m: int) -> int | None:

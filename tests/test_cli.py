@@ -196,6 +196,15 @@ class TestCap:
         monkeypatch.setattr(matrices, "_gl_flat", no_scan)
         assert run(capsys, "gl-order", "3", "3")[:2] == (0, "11232\n")
 
+    def test_stable_image_searches_nothing(self, capsys, monkeypatch):
+        import genuskit.matrices as matrices
+
+        def no_search(*args):
+            raise AssertionError("the stable-image search ran")
+
+        monkeypatch.setattr(matrices, "_stable_flat", no_search)
+        assert run(capsys, "stable-image", "3", "3")[:2] == (0, "11232\n")
+
     @pytest.mark.parametrize("verb", ["gl-order", "stable-image"])
     @pytest.mark.parametrize("r", [100, 2000])
     def test_huge_r_is_a_resource_limit_at_once(self, capsys, verb, r):

@@ -397,6 +397,20 @@ class TestClosedFormAndRowTables:
     )
     def test_gl_order_matches_the_scan(self, r, m):
         assert gl_order(r, m) == len(matrices._gl_flat(r, m))
+        assert stable_image_order(r, m) == len(matrices._stable_flat(r, m))
+
+    def test_stable_order_runs_no_search(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the stable-image search ran")
+
+        monkeypatch.setattr(matrices, "_stable_flat", fail)
+        for r, m, order in [(1, 1, 1), (1, 2, 1), (1, 7, 2), (2, 1, 1),
+                            (2, 5, 240), (3, 3, 11232), (4, 2, 20160)]:
+            assert stable_image_order(r, m) == order
+        # |GL(5, Z/2)| = 31*30*28*24*16, and 1 = -1 mod 2
+        assert stable_image_order(5, 2, cap=2**25) == 9999360
+        with pytest.raises(ResourceLimitError):
+            stable_image_order(5, 2)
 
     @pytest.mark.parametrize(
         "r, m", [(1, 1), (1, 7), (1, 12), (2, 1), (2, 5), (2, 6), (2, 16),
@@ -427,7 +441,7 @@ class TestClosedFormAndRowTables:
         # orders from the parametrized carrier and brute-scan tests above
         for r, m, order in [(1, 1, 1), (1, 7, 2), (2, 1, 1), (2, 5, 240),
                             (2, 16, 6144), (3, 3, 11232), (4, 2, 20160)]:
-            assert stable_image_order(r, m) == order
+            assert len(matrices._stable_flat(r, m)) == order
 
     def test_table_blocks_fill_as_the_search_meets_them(self, monkeypatch):
         # with 5-code blocks and chunks, the table of (2, 16) has 52 blocks
@@ -437,7 +451,7 @@ class TestClosedFormAndRowTables:
                     for r, m in [(1, 12), (2, 6), (2, 16), (3, 2), (3, 3)]}
         monkeypatch.setattr(matrices, "_CHUNK", 5)
         for (r, m), order in expected.items():
-            assert stable_image_order(r, m) == order
+            assert len(matrices._stable_flat(r, m)) == order
         monkeypatch.undo()
         calls = []
         real = matrices._row_table
@@ -472,6 +486,30 @@ class TestClosedFormAndRowTables:
         e = info.value
         assert (e.needed, e.lower_bound) == (10**4225, False)
         assert f"a scan of {10**4225} candidates" in str(e)
+
+
+class TestDeterminantLimit:
+    # the row kernel takes determinants of blocks up to 4x4; a 5x5 block
+    # once went through the 4x4 expansion and came out wrong
+    def test_enumerate_gl_refuses_a_block_above_4(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="^block of size 5 is above "
+                           "the determinant limit of 4$") as info:
+            enumerate_gl(5, 2, cap=2**25)
+        assert time.perf_counter() - start < 1.0
+        e = info.value
+        assert (e.phase, e.needed, e.cap, e.lower_bound) == (
+            "determinant", 5, matrices.MAX_DET_SIZE, False)
+
+    def test_scan_cap_is_checked_first(self):
+        with pytest.raises(ResourceLimitError) as info:
+            enumerate_gl(5, 2)
+        assert info.value.phase == "scan"
+
+    def test_orders_take_no_determinant(self):
+        assert gl_order(5, 2, cap=2**25) == 9999360
+        assert gl_order(6, 1) == stable_image_order(6, 1) == 1
+        assert len(stable_image(5, 1)) == 1
 
 
 class TestArgumentValidation:

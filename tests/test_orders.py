@@ -16,6 +16,7 @@ from genuskit.matrices import (
     elementary_generators,
     enumerate_gl,
     stable_image,
+    stable_image_order,
 )
 from genuskit.orders import (
     GenusResult,
@@ -33,7 +34,7 @@ from genuskit.orders import (
 )
 import genuskit.matrices as matrices
 import genuskit.orders as orders
-from genuskit.rings import totient
+from genuskit.rings import sign_count, totient
 
 
 def scalar(c, m):
@@ -327,6 +328,16 @@ class TestPullback:
     @pytest.mark.parametrize("m, expected", [(1, 1), (2, 1), (5, 2), (24, 4)])
     def test_formula_values(self, m, expected):
         assert genus_pullback_formula(m) == expected
+
+    def test_sign_group_gives_formula_bound_and_stable_order(self):
+        # 1 == -1 for m = 1, 2, so the sign group has one element there
+        for m in range(1, 201):
+            signs = sign_count(m)
+            assert signs == (1 if m <= 2 else 2)
+            assert genus_pullback_formula(m) == totient(m) // signs
+            assert genus(pullback_spec(m)).bound == (totient(m) // signs) ** 2
+            assert stable_image_order(1, m) == signs
+            assert len(matrices._stable_flat(1, m)) == signs
 
     def test_formula_rejects_bad_level(self):
         with pytest.raises(ValueError):
@@ -1016,6 +1027,14 @@ class TestShortcuts:
 
 
 class TestResourceLimitFields:
+    def test_subring_units_refuses_a_block_above_4(self):
+        spec = OrderSpec(m=3, blocks=(5,), generators=())
+        with pytest.raises(ResourceLimitError, match="size 5") as info:
+            subring_units(subring_closure(spec), 3, (5,))
+        e = info.value
+        assert (e.phase, e.needed, e.cap, e.lower_bound) == (
+            "determinant", 5, orders.MAX_DET_SIZE, False)
+
     def test_level_above_cap(self):
         with pytest.raises(ResourceLimitError,
                            match="^a subring mod 30 exceeds the cap of 3$") as info:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,9 @@ from genuskit.rings import (
     ext_gcd,
     gcd,
     inverse_mod,
+    is_sign,
     prime_powers,
+    sign_count,
     totient,
     unit_group,
     units,
@@ -54,6 +57,17 @@ class TestTotient:
     def test_multiplicative_on_coprime_pairs(self, a, b):
         if math.gcd(a, b) == 1:
             assert totient(a * b) == totient(a) * totient(b)
+
+
+class TestSignGroup:
+    def test_matches_brute_count_and_mask(self):
+        for m in range(1, 201):
+            # independent oracle: the residues that 1 or -1 reduce to
+            brute = {x for x in range(m) if (x - 1) % m == 0 or (x + 1) % m == 0}
+            assert sign_count(m) == len(brute)
+            assert [x for x in range(m) if is_sign(x, m)] == sorted(brute)
+            mask = is_sign(np.arange(m, dtype=np.int64), m)
+            assert np.flatnonzero(mask).tolist() == sorted(brute)
 
 
 class TestPrimePowers:
