@@ -18,7 +18,7 @@ from . import matrices as matrices_mod
 from . import orders as orders_mod
 from .cosets import FiniteGroup, direct_product, double_coset_partition, subgroup_closure
 from .matrices import DEFAULT_CAP, MatModM
-from .rings import gcd, is_sign, totient, unit_group
+from .rings import gcd, is_sign, sign_count, totient, unit_group
 
 _SEED_SMALL_M = 0xC0FFEE
 _SEED_BOUND = 0x5EED
@@ -182,7 +182,7 @@ def check_bound_and_monotonicity(cap: int = DEFAULT_CAP) -> CheckResult:
         blocks = rng.choice([(1, 1), (2,)])
         spec = _random_spec(rng, m, blocks)
         k = len(blocks)
-        bound = (totient(m) // 2) ** k
+        bound = (totient(m) // sign_count(m)) ** k
         total = orders_mod.genus(spec, cap).total
         if total > bound:
             failures.append(f"case {i} (m={m}, blocks={blocks}): {total} > {bound}")

@@ -41,7 +41,7 @@ import numpy as np
 
 from .cosets import FiniteGroup
 from .errors import InternalInconsistencyError, ResourceLimitError
-from .matrices import (_CHUNK, DEFAULT_CAP, MAX_DET_SIZE, MatModM,
+from .matrices import (_CHUNK, DEFAULT_CAP, MatModM,
                        _block_dets, _check_det_size, _distinct_rows, _mul_rows,
                        _Shape, _shape, _unit_lut, mat_mul)
 from .rings import ext_gcd, is_sign, sign_count, totient
@@ -239,14 +239,19 @@ def _mats_to_row(tup) -> tuple[int, ...]:
 # S is one combination sum c_j * row j with 0 <= c_j < m/d_j.  So
 # |S| = prod m/d_j is known before any element exists.
 #
-# S is the span of a short list of "module generators" whose pairwise
-# products all lie in S (bilinearity closes the rest), so the closure runs a
-# worklist over module-generator pairs.  Each step reduces all its products
-# against the basis in one numpy pass, and only the products outside S go
-# through the Python insertion.  Every insertion at least doubles S, so
-# there are at most log2|S| module generators.  Once every pivot is 1 the
-# span is the whole ring, which holds every product, so the worklist stops
-# there.
+# S is the Z/m-span of the words in the generators, the identity being the
+# empty word, so a span that holds the identity and is closed under right
+# multiplication by each generator is S.  The closure therefore runs
+# breadth-first over words: it inserts the identity, then at each level
+# multiplies the words that grew the span on the right by every generator,
+# in one numpy call, and inserts the products; those that grew the span
+# make the next level.  This is exact.  Every word that did not grow the
+# span lies in the span of words that did, and each of those has all its
+# products with a generator g inserted, so by linearity the final span T
+# has T*g inside T.  Every insertion that grows the span at least doubles
+# it, so at most log2|S| words grow it, and at most as many levels run.
+# Once every pivot is 1 the span is the whole ring, which holds every
+# product, so the pass stops there.
 
 
 def _insert(rows: list[list[int]], pivots: list[int], m: int, v: list[int]) -> bool:
@@ -284,25 +289,15 @@ def _insert(rows: list[list[int]], pivots: list[int], m: int, v: list[int]) -> b
     return grew
 
 
-def _outside(basis: np.ndarray, pivots: list[int], m: int, v: np.ndarray) -> np.ndarray:
-    """Mask of the rows of v that lie outside the span of the Howell basis.
-
-    Reducing column j leaves v_j % d_j there, and later rows are zero at
-    column j, so a row is outside exactly when something is left of it.
-    A quotient is below m/d_j, so each product stays below m^2.
-    """
-    v = v.copy()
-    for j, d in enumerate(pivots):
-        if d < m:
-            v[:, j:] = (v[:, j:] - (v[:, j] // d)[:, None] * basis[j, j:]) % m
-    return v.any(axis=1)
-
-
 def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
     """Howell basis of the subring generated by the identity and gen_rows:
     the rows whose pivot is below m, and the additive order m/d_j of each.
 
-    ``cap`` bounds |S| = prod m/d_j, checked before any element is made.
+    The span is built from the words in gen_rows, breadth-first: each level
+    multiplies the words that grew the span by every generator on the right
+    in one _mul_rows call, and the products that grow it make the next
+    level.  ``cap`` bounds |S| = prod m/d_j, checked before any element is
+    made.
     """
     m, width = shape.m, shape.width
     # the m multiples of the identity are distinct and lie in every subring
@@ -315,22 +310,13 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
                                  phase="closure", needed=reach, cap=2**63 - 1)
     rows = [[0] * width for _ in range(width)]
     pivots = [m] * width
-    mod_gens: list[np.ndarray] = []
+    gens = np.array(gen_rows, dtype=np.int64).reshape(-1, width) % m
     identity = [int(i == j) for r in shape.blocks for i in range(r) for j in range(r)]
-    for seed in (identity, *gen_rows):
-        seed = np.array(seed, dtype=np.int64) % m
-        if _insert(rows, pivots, m, seed.tolist()):
-            mod_gens.append(seed)
-    i = 0
-    while i < len(mod_gens) and max(pivots) > 1:
-        x, ys = mod_gens[i], np.array(mod_gens[: i + 1])
-        # x*y and y*x for every module generator y up to x
-        products = np.concatenate((_mul_rows(shape, x, ys), _mul_rows(shape, ys, x)))
-        basis = np.array(rows, dtype=np.int64)
-        for p in products[_outside(basis, pivots, m, products)]:
-            if _insert(rows, pivots, m, p.tolist()):
-                mod_gens.append(p)
-        i += 1
+    frontier = [identity] if _insert(rows, pivots, m, identity) else []
+    while frontier and max(pivots) > 1:
+        words = _mul_rows(shape, np.array(frontier, dtype=np.int64)[:, None], gens)
+        frontier = [w for w in words.reshape(-1, width).tolist()
+                    if _insert(rows, pivots, m, w)]
     size = prod(m // d for d in pivots)
     if size > cap:
         raise ResourceLimitError(

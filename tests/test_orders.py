@@ -193,6 +193,24 @@ class TestSubringClosure:
         _, additive = orders._closure(matrices._shape(6, (1, 1, 1)), rows, cap=10**6)
         assert sorted(additive) == [3, 6, 6]
         assert len(brute_subring_closure(spec)) == 108
+        # words of length 3 and more, so the closure runs several levels:
+        # the shift e12+e23+e34 of Mat_4(Z/3) spans I, N, N^2, N^3, and the
+        # pair (e12, e23) of Mat_3(Z/2) spans I, e12, e23, e12*e23 = e13
+        def unit(r, m, *cells):
+            entries = [int((i, j) in cells) for i in range(r) for j in range(r)]
+            return MatModM(m, r, entries)
+
+        for m, blocks, gens, size in (
+            (3, (4,), [(unit(4, 3, (0, 1), (1, 2), (2, 3)),)], 81),
+            (2, (3,), [(unit(3, 2, (0, 1)),), (unit(3, 2, (1, 2)),)], 16),
+        ):
+            spec = OrderSpec(m=m, blocks=blocks, generators=tuple(gens))
+            rows = [orders._mats_to_row(t) for t in gens]
+            _, additive = orders._closure(matrices._shape(m, blocks), rows, cap=10**6)
+            brute = brute_subring_closure(spec)
+            assert np.prod(additive) == len(brute) == size, spec
+            got = {tuple(mat.entries for mat in t) for t in subring_closure(spec)}
+            assert got == brute, spec
         # generators (m/q) * X at composite levels give subrings such as
         # Z/12 + 6*Z/12 whose pivots are proper divisors of m
         rng = random.Random(61)
@@ -913,18 +931,24 @@ class TestShortcuts:
 
     @pytest.mark.parametrize("spec", WHOLE_RINGS, ids=["3@5", "1,2@9"])
     def test_closure_stops_once_the_span_is_whole(self, monkeypatch, spec):
-        # no product is reduced against a basis whose pivots are all 1
-        top_pivots = []
-        real = orders._outside
+        # no words are multiplied once every pivot is 1
+        whole, products = [False], []
+        real_insert, real_mul = orders._insert, orders._mul_rows
 
-        def outside(basis, pivots, m, v):
-            top_pivots.append(max(pivots))
-            return real(basis, pivots, m, v)
+        def insert(rows, pivots, m, v):
+            grew = real_insert(rows, pivots, m, v)
+            whole[0] = max(pivots) == 1
+            return grew
 
-        monkeypatch.setattr(orders, "_outside", outside)
+        def mul_rows(*args):
+            products.append(whole[0])
+            return real_mul(*args)
+
+        monkeypatch.setattr(orders, "_insert", insert)
+        monkeypatch.setattr(orders, "_mul_rows", mul_rows)
         width = sum(r * r for r in spec.blocks)
         assert subring_size(spec) == spec.m**width
-        assert top_pivots and min(top_pivots) > 1
+        assert whole[0] and products and not any(products)
 
     @pytest.mark.parametrize("spec", TRIANGULAR, ids=["2@12", "2,2@5"])
     def test_probe_settles_a_proper_subring(self, monkeypatch, spec):
@@ -1033,7 +1057,7 @@ class TestResourceLimitFields:
             subring_units(subring_closure(spec), 3, (5,))
         e = info.value
         assert (e.phase, e.needed, e.cap, e.lower_bound) == (
-            "determinant", 5, orders.MAX_DET_SIZE, False)
+            "determinant", 5, matrices.MAX_DET_SIZE, False)
 
     def test_level_above_cap(self):
         with pytest.raises(ResourceLimitError,
@@ -1075,4 +1099,4 @@ class TestResourceLimitFields:
             genus(OrderSpec(m=2, blocks=(1, 9), generators=()))
         e = info.value
         assert (e.phase, e.needed, e.cap, e.lower_bound) == (
-            "determinant", 9, orders.MAX_DET_SIZE, False)
+            "determinant", 9, matrices.MAX_DET_SIZE, False)
