@@ -302,26 +302,24 @@ def check_same_genus_classes(cap: int = DEFAULT_CAP) -> CheckResult:
     start = time.perf_counter()
     failures = []
     family = [atoms_mod.atom_a(v) for v in range(1, 13)]
+    # same_genus is pure, so one call per pair serves every property below
+    same = {(a.v, b.v): atoms_mod.same_genus(a, b) for a in family for b in family}
     for a in family:
-        if not atoms_mod.same_genus(a, a):
+        if not same[a.v, a.v]:
             failures.append(f"not reflexive at v={a.v}")
     for a in family:
         for b in family:
-            if atoms_mod.same_genus(a, b) != atoms_mod.same_genus(b, a):
+            if same[a.v, b.v] != same[b.v, a.v]:
                 failures.append(f"not symmetric at v={a.v}, v={b.v}")
-            if atoms_mod.same_genus(a, b) != (gcd(a.v, 24) == gcd(b.v, 24)):
+            if same[a.v, b.v] != (gcd(a.v, 24) == gcd(b.v, 24)):
                 failures.append(f"class of v={a.v}, v={b.v} is not the gcd fiber")
             for c in family:
-                if (
-                    atoms_mod.same_genus(a, b)
-                    and atoms_mod.same_genus(b, c)
-                    and not atoms_mod.same_genus(a, c)
-                ):
+                if same[a.v, b.v] and same[b.v, c.v] and not same[a.v, c.v]:
                     failures.append(f"not transitive at v={a.v},{b.v},{c.v}")
     genera = [atoms_mod.genus_of_atom(a, cap) for a in family]
     for a, genus_a in zip(family, genera):
         for b, genus_b in zip(family, genera):
-            if atoms_mod.same_genus(a, b) and genus_a != genus_b:
+            if same[a.v, b.v] and genus_a != genus_b:
                 failures.append(f"genus differs inside a class: v={a.v}, v={b.v}")
     return _result(
         "same-genus-classes", start, failures,

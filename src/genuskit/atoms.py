@@ -1,6 +1,8 @@
 """Catalog of stable polyhedral atoms: spheres, Moore and Chang spaces and
 the A(v) family, with their rational sphere wedges, reduced endomorphism
-orders and genus counts.
+orders and genus counts.  Each kind's facts (parameters and their bounds,
+least top dimension, rational wedge and grammar name) are one row of
+``_KINDS``; only the A(v) level and the bound v <= 12 are stated elsewhere.
 
 Genus values for the pullback cases are computed by the order engine, not
 read from a table; the closed totient formula is kept as a cross-check in
@@ -28,19 +30,28 @@ class AtomKind(Enum):
     ATOM_A = "atom-a"                  # A(v)
 
 
-# attaching maps eta^2 and v*nu reach three cells down, so these kinds need
-# a higher minimal top dimension to keep all cell dimensions positive
-_MIN_TOP_DIM = {AtomKind.ATOM_A: 4, AtomKind.CHANG_ETA_SQ: 4}
+@dataclass(frozen=True)
+class _Kind:
+    params: tuple[str, ...]      # parameter fields the kind takes
+    least: int                   # least value each of them may take
+    min_top_dim: int
+    wedge: tuple[int, ...]       # rational sphere dimensions minus top_dim, ascending
+    template: str                # grammar name, filled from the atom's fields
 
-_PARAM_FIELDS = {
-    AtomKind.SPHERE: (),
-    AtomKind.MOORE: ("a",),
-    AtomKind.CHANG_FULL: ("r", "s"),
-    AtomKind.CHANG_R_ETA: ("r",),
-    AtomKind.CHANG_ETA_S: ("s",),
-    AtomKind.CHANG_ETA: (),
-    AtomKind.CHANG_ETA_SQ: (),
-    AtomKind.ATOM_A: ("v",),
+
+# One row per kind.  Attaching maps of finite order vanish rationally and
+# degree maps do not, so the wedge offsets follow each defining
+# cofibration; eta^2 and v*nu reach three cells down, so those kinds need
+# top dimension 4 to keep every cell dimension positive.
+_KINDS = {
+    AtomKind.SPHERE: _Kind((), 1, 2, (0,), "S{n}"),
+    AtomKind.MOORE: _Kind(("a",), 2, 2, (), "M({a})@{n}"),
+    AtomKind.CHANG_FULL: _Kind(("r", "s"), 1, 2, (), "C(2^{r}.eta.2^{s})@{n}"),
+    AtomKind.CHANG_R_ETA: _Kind(("r",), 1, 2, (1,), "C(2^{r}.eta)@{n}"),
+    AtomKind.CHANG_ETA_S: _Kind(("s",), 1, 2, (-1,), "C(eta.2^{s})@{n}"),
+    AtomKind.CHANG_ETA: _Kind((), 1, 2, (-1, 1), "C(eta)@{n}"),
+    AtomKind.CHANG_ETA_SQ: _Kind((), 1, 4, (-2, 1), "C(eta2)@{n}"),
+    AtomKind.ATOM_A: _Kind(("v",), 1, 4, (-3, 1), "A({v})@{n}"),
 }
 
 
@@ -56,39 +67,29 @@ class Atom:
     v: int | None = None
 
     def __post_init__(self):
-        wanted = _PARAM_FIELDS[self.kind]
+        row = _KINDS[self.kind]
         for field in ("a", "r", "s", "v"):
-            value = getattr(self, field)
-            if field in wanted:
-                if value is None:
-                    raise ValueError(f"{self.kind.value} atom needs parameter {field}")
-            elif value is not None:
-                raise ValueError(
-                    f"{self.kind.value} atom does not take parameter {field}"
-                )
-        min_dim = _MIN_TOP_DIM.get(self.kind, 2)
-        if self.top_dim < min_dim:
+            if (getattr(self, field) is None) == (field in row.params):
+                verb = "needs" if field in row.params else "does not take"
+                raise ValueError(f"{self.kind.value} atom {verb} parameter {field}")
+        if self.top_dim < row.min_top_dim:
             raise ValueError(
-                f"{self.kind.value} atom needs top_dim >= {min_dim}, "
+                f"{self.kind.value} atom needs top_dim >= {row.min_top_dim}, "
                 f"got {self.top_dim}"
             )
-        if self.kind is AtomKind.MOORE and self.a < 2:
-            raise ValueError(f"Moore parameter must be >= 2, got {self.a}")
-        if self.kind is AtomKind.CHANG_FULL and (self.r < 1 or self.s < 1):
-            raise ValueError(
-                f"Chang parameters must be >= 1, got r={self.r}, s={self.s}"
-            )
-        if self.kind is AtomKind.CHANG_R_ETA and self.r < 1:
-            raise ValueError(f"Chang parameter r must be >= 1, got {self.r}")
-        if self.kind is AtomKind.CHANG_ETA_S and self.s < 1:
-            raise ValueError(f"Chang parameter s must be >= 1, got {self.s}")
-        if self.kind is AtomKind.ATOM_A and not 0 < self.v <= 12:
+        for field in row.params:
+            value = getattr(self, field)
+            if value < row.least:
+                raise ValueError(
+                    f"{self.kind.value} atom needs {field} >= {row.least}, got {value}"
+                )
+        if self.kind is AtomKind.ATOM_A and self.v > 12:
             # out-of-range v is rejected, not reduced mod 24
             raise ValueError(f"A(v) needs 0 < v <= 12, got {self.v}")
 
 
 def _dim(kind: AtomKind, top_dim: int | None) -> int:
-    return _MIN_TOP_DIM.get(kind, 2) if top_dim is None else top_dim
+    return _KINDS[kind].min_top_dim if top_dim is None else top_dim
 
 
 def sphere(n: int) -> Atom:
@@ -153,41 +154,25 @@ def pullback(level: int) -> EndoDescription:
 
 
 def rational_wedge(atom: Atom) -> tuple[int, ...]:
-    """Dimensions of the spheres in the rationalization, as a sorted multiset.
-
-    Derived from each atom's defining cofibration: attaching maps of finite
-    order vanish rationally, degree maps do not.
-    """
-    n = atom.top_dim
-    if atom.kind is AtomKind.SPHERE:
-        return (n,)
-    if atom.kind in (AtomKind.MOORE, AtomKind.CHANG_FULL):
-        return ()
-    if atom.kind is AtomKind.CHANG_R_ETA:
-        return (n + 1,)
-    if atom.kind is AtomKind.CHANG_ETA_S:
-        return (n - 1,)
-    if atom.kind is AtomKind.CHANG_ETA:
-        return (n - 1, n + 1)
-    if atom.kind is AtomKind.CHANG_ETA_SQ:
-        return (n - 2, n + 1)
-    return (n - 3, n + 1)  # ATOM_A
+    """Dimensions of the spheres in the rationalization, as a sorted multiset."""
+    return tuple(atom.top_dim + d for d in _KINDS[atom.kind].wedge)
 
 
 def is_torsion(atom: Atom) -> bool:
     """Whether the endomorphism ring is torsion (rationally trivial atom)."""
-    return atom.kind in (AtomKind.MOORE, AtomKind.CHANG_FULL)
+    return not _KINDS[atom.kind].wedge
 
 
 def endo_order(atom: Atom) -> EndoDescription:
-    """Reduced endomorphism order of each catalog atom."""
-    if atom.kind in (AtomKind.MOORE, AtomKind.CHANG_FULL):
+    """Reduced endomorphism order: torsion, Z or a pullback as the rational
+    wedge has 0, 1 or 2 spheres; the level is 24 / gcd(v, 24) for A(v), else 2.
+    """
+    spheres = len(_KINDS[atom.kind].wedge)
+    if spheres == 0:
         return TORSION
-    if atom.kind in (AtomKind.SPHERE, AtomKind.CHANG_R_ETA, AtomKind.CHANG_ETA_S):
+    if spheres == 1:
         return INTEGERS
-    if atom.kind in (AtomKind.CHANG_ETA, AtomKind.CHANG_ETA_SQ):
-        return pullback(2)
-    return pullback(24 // gcd(atom.v, 24))  # ATOM_A
+    return pullback(24 // gcd(atom.v, 24) if atom.kind is AtomKind.ATOM_A else 2)
 
 
 def genus_of_atom(atom: Atom, cap: int = DEFAULT_CAP) -> int:
@@ -205,15 +190,20 @@ def genus_of_atom(atom: Atom, cap: int = DEFAULT_CAP) -> int:
 def same_genus(a: Atom, b: Atom) -> bool:
     """Whether two catalog atoms lie in the same genus.
 
-    Equal atoms always do; distinct A(v) atoms do exactly when they share
-    the top dimension and gcd(v, 24).  All other distinct pairs are in
+    Equal atoms always do; distinct atoms do exactly when they share the
+    kind, the top dimension and a pullback endomorphism order, which happens
+    only for A(v) atoms of equal gcd(v, 24).  All other distinct pairs are in
     different genera (torsion atoms in one genus are isomorphic).
     """
     if a == b:
         return True
-    if a.kind is AtomKind.ATOM_A and b.kind is AtomKind.ATOM_A:
-        return a.top_dim == b.top_dim and gcd(a.v, 24) == gcd(b.v, 24)
-    return False
+    endo = endo_order(a)
+    return (
+        a.kind is b.kind
+        and a.top_dim == b.top_dim
+        and endo.kind == "pullback"
+        and endo == endo_order(b)
+    )
 
 
 def torsion_split(atoms) -> tuple[list[Atom], list[Atom]]:
@@ -225,10 +215,7 @@ def torsion_split(atoms) -> tuple[list[Atom], list[Atom]]:
 
 def b0_of_wedge(atoms) -> tuple[int, ...]:
     """Multiset union of the rational wedges of a list of atoms."""
-    dims: list[int] = []
-    for atom in atoms:
-        dims.extend(rational_wedge(atom))
-    return tuple(sorted(dims))
+    return tuple(sorted(d for atom in atoms for d in rational_wedge(atom)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +233,14 @@ class AtomParseError(ValueError):
         self.token = token
 
 
+def _is_digits(token: str) -> bool:
+    # ASCII only: str.isdigit also accepts '²', and int() reads '٣' as 3
+    return token.isascii() and token.isdigit()
+
+
 def _parse_int(text: str, start: int, end: int, what: str) -> int:
     token = text[start:end]
-    if not token or not token.isdigit():
+    if not _is_digits(token):
         raise AtomParseError(f"expected {what}", start, token or "<end>")
     return int(token)
 
@@ -273,10 +265,7 @@ def _split_call(text: str, head: str) -> tuple[str, int, int]:
 def _parse_power(text: str, token: str, offset: int) -> int:
     if not token.startswith("2^"):
         raise AtomParseError("expected a power token '2^<k>'", offset, token)
-    exponent = token[2:]
-    if not exponent.isdigit():
-        raise AtomParseError("expected digits after '2^'", offset + 2, exponent or "<end>")
-    return int(exponent)
+    return _parse_int(text, offset + 2, offset + len(token), "digits after '2^'")
 
 
 def parse_atom(text: str) -> Atom:
@@ -317,7 +306,7 @@ def parse_atom(text: str) -> Atom:
             sp = _parse_power(s, tokens[2], offsets[2])
             return chang_full(r, sp, top_dim=n)
         for tok, tok_off in zip(tokens, offsets):
-            if tok != "eta" and not (tok.startswith("2^") and tok[2:].isdigit()):
+            if tok != "eta" and not (tok.startswith("2^") and _is_digits(tok[2:])):
                 raise AtomParseError("unrecognized token in Chang atom body", tok_off, tok)
         raise AtomParseError("unrecognized Chang atom body", off, inner)
     raise AtomParseError("unknown atom kind", 0, head)
@@ -325,19 +314,4 @@ def parse_atom(text: str) -> Atom:
 
 def format_atom(atom: Atom) -> str:
     """Canonical grammar name of an atom; inverse of parse_atom."""
-    n = atom.top_dim
-    if atom.kind is AtomKind.SPHERE:
-        return f"S{n}"
-    if atom.kind is AtomKind.MOORE:
-        return f"M({atom.a})@{n}"
-    if atom.kind is AtomKind.CHANG_FULL:
-        return f"C(2^{atom.r}.eta.2^{atom.s})@{n}"
-    if atom.kind is AtomKind.CHANG_R_ETA:
-        return f"C(2^{atom.r}.eta)@{n}"
-    if atom.kind is AtomKind.CHANG_ETA_S:
-        return f"C(eta.2^{atom.s})@{n}"
-    if atom.kind is AtomKind.CHANG_ETA:
-        return f"C(eta)@{n}"
-    if atom.kind is AtomKind.CHANG_ETA_SQ:
-        return f"C(eta2)@{n}"
-    return f"A({atom.v})@{n}"
+    return _KINDS[atom.kind].template.format(n=atom.top_dim, **vars(atom))

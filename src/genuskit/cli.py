@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import acceptance
-from .atoms import genus_of_atom, parse_atom
+from .atoms import atom_a, endo_order, genus_of_atom, parse_atom
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .matrices import DEFAULT_CAP, gl_order, stable_image_order
 from .orders import (
@@ -127,8 +127,7 @@ def _resolve_cap(args) -> int:
 def _table_a_rows(cap: int) -> list[dict]:
     rows = []
     for v in range(1, 13):
-        d = gcd(v, 24)
-        level = 24 // d
+        level = endo_order(atom_a(v)).level
         engine = genus(pullback_spec(level), cap).total
         formula = genus_pullback_formula(level)
         if engine != formula:
@@ -136,7 +135,7 @@ def _table_a_rows(cap: int) -> list[dict]:
                 f"row v={v}: enumeration gives {engine}, formula gives {formula}"
             )
         rows.append(
-            {"v": v, "d": d, "m": level, "gBrute": engine, "gFormula": formula}
+            {"v": v, "d": gcd(v, 24), "m": level, "gBrute": engine, "gFormula": formula}
         )
     return rows
 

@@ -99,7 +99,7 @@ def mat_mul(a: MatModM, b: MatModM) -> MatModM:
     r, m = a.size, a.modulus
     x, y = a.entries, b.entries
     out = tuple(
-        sum(x[i * r + t] * y[t * r + j] for t in range(r)) % m
+        sum(x[i * r + t] * y[t * r + j] for t in range(r))
         for i in range(r)
         for j in range(r)
     )

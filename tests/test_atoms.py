@@ -6,6 +6,7 @@ from genuskit.atoms import (
     Atom,
     AtomKind,
     AtomParseError,
+    _KINDS,
     EndoDescription,
     INTEGERS,
     TORSION,
@@ -78,6 +79,24 @@ class TestAtomValidation:
             Atom(AtomKind.SPHERE, 4, v=3)
         with pytest.raises(ValueError):
             Atom(AtomKind.ATOM_A, 5)
+
+
+@pytest.mark.parametrize("kind", list(AtomKind), ids=lambda kind: kind.value)
+def test_every_kind_reads_its_row(kind):
+    row = _KINDS[kind]
+    least = {field: row.least for field in row.params}
+    atom = Atom(kind, row.min_top_dim, **least)
+    name = format_atom(atom)
+    assert parse_atom(name) == atom and format_atom(parse_atom(name)) == name
+    for field in row.params:
+        with pytest.raises(ValueError):
+            Atom(kind, row.min_top_dim, **{**least, field: row.least - 1})
+    with pytest.raises(ValueError):
+        Atom(kind, row.min_top_dim - 1, **least)
+    wedge = rational_wedge(atom)
+    assert list(wedge) == sorted(wedge)
+    shape = ("torsion", "integers", "pullback")[len(wedge)]
+    assert endo_order(atom).kind == shape
 
 
 class TestRationalWedge:
@@ -272,6 +291,12 @@ class TestGrammar:
             ("C(zeta)@4", 2, "zeta"),
             ("C(2^x.eta)@4", 4, "x"),
             ("C(eta.eta.eta)@4", 2, "eta"),
+            # digits are ASCII only; str.isdigit alone lets all of these in
+            ("S\u0663", 1, "\u0663"),
+            ("A(6)@\u0661\u0660", 5, "\u0661\u0660"),
+            ("S\u00b2", 1, "\u00b2"),
+            ("M(\u00b2)@4", 2, "\u00b2"),
+            ("C(2^\u00b2.eta)@4", 4, "\u00b2"),
         ],
     )
     def test_errors_name_token_and_position(self, text, position, token):
