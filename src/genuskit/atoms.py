@@ -72,6 +72,11 @@ class Atom:
             if (getattr(self, field) is None) == (field in row.params):
                 verb = "needs" if field in row.params else "does not take"
                 raise ValueError(f"{self.kind.value} atom {verb} parameter {field}")
+        for field in ("top_dim", *row.params):
+            value = getattr(self, field)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(
+                    f"{self.kind.value} atom needs an int {field}, got {value!r}")
         if self.top_dim < row.min_top_dim:
             raise ValueError(
                 f"{self.kind.value} atom needs top_dim >= {row.min_top_dim}, "
@@ -242,6 +247,9 @@ def _parse_int(text: str, start: int, end: int, what: str) -> int:
     token = text[start:end]
     if not _is_digits(token):
         raise AtomParseError(f"expected {what}", start, token or "<end>")
+    if token[0] == "0" and len(token) > 1:
+        # format_atom writes no leading zero, so such a name would not round-trip
+        raise AtomParseError(f"leading zero in {what}", start, token)
     return int(token)
 
 

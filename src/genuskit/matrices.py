@@ -1,13 +1,16 @@
 """Square matrices over Z/m: products, determinants, GL(r, Z/m) and the
 subgroup generated by elementary matrices (the mod-m image of the global
 unit group of the integer matrix ring), plus the int64 row kernel that the
-enumerations and :mod:`genuskit.orders` share.
+enumerations and :mod:`genuskit.orders` share.  Determinants of every size
+take one division-free Laplace expansion, on Python ints in ``det`` and on
+int64 columns in the row kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import prod
 
 import numpy as np
@@ -25,18 +28,6 @@ from .rings import Residue, prime_powers, sign_count, totient
 # cap is checked then, and the elements are only ever scanned a chunk at a
 # time.
 DEFAULT_CAP = 2_000_000
-
-# Determinants use cofactor expansion, which is exact over Z/m for composite
-# m (no division) but exponential in the size; larger matrices are rejected.
-MAX_DET_SIZE = 4
-
-
-def _check_det_size(blocks) -> None:
-    """Refuse blocks above MAX_DET_SIZE, which _block_dets does not cover."""
-    if (r := max(blocks, default=1)) > MAX_DET_SIZE:
-        raise ResourceLimitError(
-            f"block of size {r} is above the determinant limit of {MAX_DET_SIZE}",
-            phase="determinant", needed=r, cap=MAX_DET_SIZE)
 
 
 @dataclass(frozen=True)
@@ -106,31 +97,56 @@ def mat_mul(a: MatModM, b: MatModM) -> MatModM:
     return MatModM(m, r, out)
 
 
-def _det_flat(entries, r: int, m: int) -> int:
-    # cofactor expansion along the first row; valid over any commutative ring
-    if r == 1:
-        return entries[0] % m
-    if r == 2:
-        return (entries[0] * entries[3] - entries[1] * entries[2]) % m
-    total = 0
-    sign = 1
-    for j in range(r):
-        minor = [
-            entries[i * r + c] for i in range(1, r) for c in range(r) if c != j
-        ]
-        total += sign * entries[j] * _det_flat(minor, r - 1, m)
-        sign = -sign
-    return total % m
+@lru_cache(maxsize=None)
+def _laplace_plan(r: int) -> tuple:
+    """The Laplace expansion of an r x r determinant over column sets,
+    from the bottom row up.  Level k holds, for each set of k columns in
+    the order of combinations(range(r), k), the minor on the bottom k rows
+    and those columns as its terms (entry, minor, sign): the entry index
+    in the top one of those rows, the index of the minor on the columns
+    left at level k - 1, and the cofactor sign.  Level 1 is the bottom row
+    itself, and level r has the one set whose minor is the determinant."""
+    index = {(j,): j for j in range(r)}
+    levels = []
+    for k in range(2, r + 1):
+        row = (r - k) * r
+        sets = list(combinations(range(r), k))
+        levels.append(tuple(
+            tuple((row + c, index[cols[:p] + cols[p + 1:]], (-1) ** p)
+                  for p, c in enumerate(cols))
+            for cols in sets))
+        index = {cols: i for i, cols in enumerate(sets)}
+    return tuple(levels)
+
+
+def _laplace(x, r: int, m: int):
+    """Determinant mod m of the r x r matrix whose row-major entries, each
+    reduced into 0..m-1, are ``x``: Python ints, or int64 columns that
+    hold one matrix per row.  It takes no division, so it is exact over
+    Z/m for composite m, and it costs about r*2^(r-1) products.  Every
+    minor is reduced before it is used, and the terms of a minor alternate
+    in sign, so a partial sum stays within ceil(r/2)*(m-1)^2 of zero: exact
+    in int64 over the range r*(m-1)^2 < 2^63 that _mul_rows and the
+    subring closure admit."""
+    minors = x[(r - 1) * r:]
+    for level in _laplace_plan(r):
+        reduced = []
+        for (e, i, _), *rest in level:  # the first term's sign is +1
+            acc = x[e] * minors[i]
+            for e, i, sign in rest:
+                if sign > 0:
+                    acc += x[e] * minors[i]
+                else:
+                    acc -= x[e] * minors[i]
+            acc %= m
+            reduced.append(acc)
+        minors = reduced
+    return minors[0]
 
 
 def det(a: MatModM) -> Residue:
-    """Determinant by cofactor expansion; sizes above 4 are rejected."""
-    if a.size > MAX_DET_SIZE:
-        raise ValueError(
-            f"unsupported size {a.size}: determinants are limited to "
-            f"{MAX_DET_SIZE}x{MAX_DET_SIZE}"
-        )
-    return Residue(_det_flat(a.entries, a.size, a.modulus), a.modulus)
+    """Determinant by Laplace expansion, exact over Z/m for every size."""
+    return Residue(_laplace(a.entries, a.size, a.modulus), a.modulus)
 
 
 def elementary_generators(r: int, m: int) -> list[MatModM]:
@@ -160,8 +176,8 @@ def elementary_generators(r: int, m: int) -> list[MatModM]:
 #
 # Internally an element of prod_i Mat(r_i, Z/m) is one numpy int64 row: the
 # row-major entries of every block, concatenated, reduced into 0..m-1.
-# MatModM appears only at the public boundary; mat_mul and det stay as the
-# exact Python-int references.  Rows are handled _CHUNK at a time, so that
+# MatModM appears only at the public boundary, where mat_mul and det take
+# exact Python ints.  Rows are handled _CHUNK at a time, so that
 # temporaries stay small whatever the size of the group.  Duplicates are
 # dropped by _distinct_rows, not np.unique: np.unique(axis=0) is several
 # times slower on int64 rows, and under numpy 2 the first np.unique call in
@@ -205,42 +221,13 @@ def _mul_rows(shape: _Shape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _block_dets(shape: _Shape, rows: np.ndarray) -> np.ndarray:
-    """Blockwise determinants mod m of reduced rows, one column per block.
-
-    3x3 blocks expand along the first row over reduced 2x2 minors; 4x4
-    blocks take the Laplace expansion along the first two rows, six
-    products of complementary 2x2 minors, each minor reduced first and the
-    terms summed in three reduced pairs.  Every intermediate stays within
-    2*(m-1)^2 in absolute value, so the result is exact in int64 for m up
-    to 2^31, which covers the range r*(m-1)^2 < 2^63 that _mul_rows and
-    the subring closure admit for every r <= 4.  Larger blocks are not
-    covered; callers refuse them first through _check_det_size.
-    """
-    m = shape.m
+    """Blockwise determinants mod m of reduced rows, one column per block,
+    by _laplace over each block's entry columns; exact in int64 within the
+    range r*(m-1)^2 < 2^63 that _mul_rows and the subring closure admit."""
     # column-major, so that each block's column is contiguous
     out = np.empty((len(rows), len(shape.blocks)), dtype=np.int64, order="F")
     for col, (r, off) in enumerate(zip(shape.blocks, shape.offsets)):
-        x = [rows[:, off + t] for t in range(r * r)]
-        if r == 1:
-            out[:, col] = x[0] % m
-        elif r == 2:
-            out[:, col] = (x[0] * x[3] - x[1] * x[2]) % m
-        elif r == 3:
-            a, b, c, d, e, f, g, h, i = x
-            out[:, col] = (a * ((e * i - f * h) % m) - b * ((d * i - f * g) % m)
-                           + c * ((d * h - e * g) % m)) % m
-        else:
-            def minor(row, i, j):
-                return (x[row + i] * x[row + 4 + j]
-                        - x[row + j] * x[row + 4 + i]) % m
-
-            s = {(i, j): minor(0, i, j) for i in range(4) for j in range(i + 1, 4)}
-            c = {(i, j): minor(8, i, j) for i in range(4) for j in range(i + 1, 4)}
-            out[:, col] = (
-                (s[0, 1] * c[2, 3] - s[0, 2] * c[1, 3]) % m
-                + (s[0, 3] * c[1, 2] - s[1, 3] * c[0, 2]) % m
-                + (s[1, 2] * c[0, 3] + s[2, 3] * c[0, 1]) % m
-            ) % m
+        out[:, col] = _laplace([rows[:, off + t] for t in range(r * r)], r, shape.m)
     return out
 
 
@@ -384,7 +371,6 @@ def _check_scan_cap(r: int, m: int, cap: int) -> None:
 def enumerate_gl(r: int, m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """The group GL(r, Z/m) of matrices with invertible determinant."""
     _check_scan_cap(r, m, cap)
-    _check_det_size((r,))
     return _group(_gl_flat(r, m), r, m, f"GL({r}, Z/{m})")
 
 

@@ -41,9 +41,8 @@ import numpy as np
 
 from .cosets import FiniteGroup
 from .errors import InternalInconsistencyError, ResourceLimitError
-from .matrices import (_CHUNK, DEFAULT_CAP, MatModM,
-                       _block_dets, _check_det_size, _distinct_rows, _mul_rows,
-                       _Shape, _shape, _unit_lut, mat_mul)
+from .matrices import (_CHUNK, DEFAULT_CAP, MatModM, _block_dets, _distinct_rows,
+                       _mul_rows, _Shape, _shape, _unit_lut, det, mat_mul)
 from .rings import ext_gcd, is_sign, sign_count, totient
 
 
@@ -501,10 +500,10 @@ def subring_units(S, m: int, blocks) -> FiniteGroup:
     In a finite ring an element invertible in the ambient matrix ring has
     its inverse inside the subring already (some positive power of the
     element), so the blockwise determinant test is exactly the unit test.
+    It takes det on exact Python ints, not the int64 row kernel of the
+    genus route, so that it has no int64 range and can check that route.
     """
     blocks = tuple(int(r) for r in blocks)
-    _check_det_size(blocks)
-    shape = _shape(m, blocks)
     identity = tuple(MatModM.identity(r, m) for r in blocks)
     S = set(S)
     if identity not in S:
@@ -516,9 +515,7 @@ def subring_units(S, m: int, blocks) -> FiniteGroup:
             for mat, r in zip(tup, blocks)
         ):
             raise ValueError(f"tuple {tup!r} does not match blocks {blocks} mod {m}")
-    rows = np.array([_mats_to_row(tup) for tup in S], dtype=np.int64)
-    mask = _unit_lut(m)[_block_dets(shape, rows)].all(axis=1)
-    units = frozenset(tup for tup, unit in zip(S, mask.tolist()) if unit)
+    units = frozenset(tup for tup in S if all(det(mat).is_unit() for mat in tup))
 
     def op(a, b):
         return tuple(mat_mul(x, y) for x, y in zip(a, b))
@@ -538,11 +535,10 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
 
     where D & S is the intersection.  A whole-ring subring, or one whose
     probe already gives index 1, returns 1 without the scan of S.
-    ``cap`` bounds the number of subring elements; blocks larger than
-    ``MAX_DET_SIZE`` are rejected before the closure starts.
+    ``cap`` bounds the number of subring elements; blocks of every size
+    are taken.
     """
     k = len(spec.blocks)
-    _check_det_size(spec.blocks)
     m = spec.m
     shape = _shape(m, spec.blocks)
     basis, additive = _closure(shape, [_mats_to_row(t) for t in spec.generators], cap)

@@ -74,6 +74,15 @@ class TestAtomValidation:
         assert atom_a(1, top_dim=4).top_dim == 4
         assert chang_eta(top_dim=2).top_dim == 2
 
+    @pytest.mark.parametrize("make", [
+        lambda: moore(2.5), lambda: sphere(4.0), lambda: atom_a(1.5),
+        lambda: atom_a(True), lambda: chang_eta(top_dim=True),
+        lambda: chang_full(1, 2, top_dim=6.0),
+    ])
+    def test_parameters_must_be_ints(self, make):
+        with pytest.raises(ValueError, match="needs an int"):
+            make()
+
     def test_foreign_parameters_rejected(self):
         with pytest.raises(ValueError):
             Atom(AtomKind.SPHERE, 4, v=3)
@@ -297,6 +306,11 @@ class TestGrammar:
             ("S\u00b2", 1, "\u00b2"),
             ("M(\u00b2)@4", 2, "\u00b2"),
             ("C(2^\u00b2.eta)@4", 4, "\u00b2"),
+            # format_atom writes no leading zero, so none is read
+            ("S05", 1, "05"),
+            ("M(03)@4", 2, "03"),
+            ("C(2^01.eta)@5", 4, "01"),
+            ("A(6)@010", 5, "010"),
         ],
     )
     def test_errors_name_token_and_position(self, text, position, token):

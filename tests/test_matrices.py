@@ -116,8 +116,12 @@ class TestDet:
         assert det(MatModM.from_rows([[1, 1], [0, 1]], 6)) == Residue(1, 6)
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
-            det(MatModM.identity(5, 3))
+        # every size takes the same expansion, with no size cap
+        rng = random.Random(6)
+        assert det(MatModM.identity(5, 3)) == Residue(1, 3)
+        for r, m in [(5, 12), (6, 9), (6, 2**30)]:
+            mat = MatModM(m, r, [rng.randrange(m) for _ in range(r * r)])
+            assert det(mat).value == leibniz_det(mat)
 
     @given(a=random_mats(3, 12), b=random_mats(3, 12))
     @settings(max_examples=60, deadline=None)
@@ -489,18 +493,8 @@ class TestClosedFormAndRowTables:
 
 
 class TestDeterminantLimit:
-    # the row kernel takes determinants of blocks up to 4x4; a 5x5 block
-    # once went through the 4x4 expansion and came out wrong
-    def test_enumerate_gl_refuses_a_block_above_4(self):
-        start = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match="^block of size 5 is above "
-                           "the determinant limit of 4$") as info:
-            enumerate_gl(5, 2, cap=2**25)
-        assert time.perf_counter() - start < 1.0
-        e = info.value
-        assert (e.phase, e.needed, e.cap, e.lower_bound) == (
-            "determinant", 5, matrices.MAX_DET_SIZE, False)
-
+    # only the scan cap bounds enumerate_gl, whatever the block size, and
+    # the two orders take no determinant at all
     def test_scan_cap_is_checked_first(self):
         with pytest.raises(ResourceLimitError) as info:
             enumerate_gl(5, 2)

@@ -35,6 +35,7 @@ from genuskit.orders import (
 import genuskit.matrices as matrices
 import genuskit.orders as orders
 from genuskit.rings import sign_count, totient
+from test_matrices import leibniz_det
 
 
 def scalar(c, m):
@@ -316,20 +317,36 @@ class TestSubringUnits:
 
     def test_block_dets_match_cofactor_det(self):
         # 1_518_500_250 is the top level that the closure admits for a 4x4
-        # block, where 4*(m-1)^2 < 2^63; 2^31 is the top of _block_dets' own
-        # int64-exact range
+        # block, where 4*(m-1)^2 < 2^63; the terms of each minor alternate
+        # in sign, so a 4x4 block stays exact up to m = 2^31, and a 6x6
+        # one at m = 2^30
         rng = random.Random(5)
         for blocks, m in [((1, 2, 3, 4), 12), ((3, 3), 7), ((2, 3), 1_699_999_999),
-                          ((4, 2), 1_518_500_250), ((4, 3), 2**31)]:
+                          ((4, 2), 1_518_500_250), ((4, 3), 2**31),
+                          ((5,), 2**30), ((6, 1), 2**30), ((5, 5), 2**30),
+                          ((5,), 97), ((6, 1), 97), ((5, 5), 97)]:
             tuples = [
                 [MatModM(m, r, [rng.randrange(m) for _ in range(r * r)])
                  for r in blocks]
                 for _ in range(50)
             ]
             rows = np.array([[e for mat in t for e in mat.entries] for t in tuples])
-            expected = [[det(mat).value for mat in t] for t in tuples]
+            expected = [[leibniz_det(mat) for mat in t] for t in tuples]
             got = matrices._block_dets(matrices._shape(m, blocks), rows)
             assert got.tolist() == expected
+
+    def test_units_at_a_level_past_int64(self):
+        # the unit test takes det on Python ints, so no table of the m
+        # residues is built and no int64 product can overflow
+        m = 2**40 + 15
+        a = MatModM(m, 2, (3, 1, 5, 2))
+        group = subring_units({(MatModM.identity(2, m),), (a,)}, m, (2,))
+        assert group.carrier == {(MatModM.identity(2, m),), (a,)}
+
+    def test_block_above_4(self):
+        spec = OrderSpec(m=3, blocks=(5,), generators=())
+        group = subring_units(subring_closure(spec), 3, (5,))
+        assert {t[0].entries[0] for t in group.carrier} == {1, 2}
 
     def test_requires_identity(self):
         with pytest.raises(ValueError):
@@ -478,14 +495,11 @@ class TestGenus:
         assert genus(OrderSpec(m=7, blocks=(3,), generators=())).total == 3
 
     @pytest.mark.parametrize("m, r", [(2, 9), (2, 12), (1, 5), (1, 8)])
-    def test_block_above_det_limit_fails_fast(self, monkeypatch, m, r):
-        def no_closure(*args):
-            raise AssertionError("closure started")
-
-        monkeypatch.setattr(orders, "_closure", no_closure)
-        spec = OrderSpec(m=m, blocks=(1, r), generators=())
-        with pytest.raises(ResourceLimitError, match=f"size {r}"):
-            genus(spec)
+    def test_block_above_det_limit_fails_fast(self, m, r):
+        # scalar blocks of any size: at m <= 2 every unit determinant is 1,
+        # so the genus is 1
+        result = genus(OrderSpec(m=m, blocks=(1, r), generators=()))
+        assert (result.total, result.bound) == (1, 1)
 
     def test_bound_violation_raises_internal_error(self, monkeypatch):
         monkeypatch.setattr(orders, "genus_relative", lambda spec, cap: 99)
@@ -1051,14 +1065,6 @@ class TestShortcuts:
 
 
 class TestResourceLimitFields:
-    def test_subring_units_refuses_a_block_above_4(self):
-        spec = OrderSpec(m=3, blocks=(5,), generators=())
-        with pytest.raises(ResourceLimitError, match="size 5") as info:
-            subring_units(subring_closure(spec), 3, (5,))
-        e = info.value
-        assert (e.phase, e.needed, e.cap, e.lower_bound) == (
-            "determinant", 5, matrices.MAX_DET_SIZE, False)
-
     def test_level_above_cap(self):
         with pytest.raises(ResourceLimitError,
                            match="^a subring mod 30 exceeds the cap of 3$") as info:
@@ -1095,8 +1101,13 @@ class TestResourceLimitFields:
                 "enumeration", 3 * (m - 1) ** 2, 2**63 - 1, False)
 
     def test_block_above_det_limit(self):
-        with pytest.raises(ResourceLimitError, match="size 9") as info:
-            genus(OrderSpec(m=2, blocks=(1, 9), generators=()))
-        e = info.value
-        assert (e.phase, e.needed, e.cap, e.lower_bound) == (
-            "determinant", 9, matrices.MAX_DET_SIZE, False)
+        # blocks above 4 take the same determinant routine as the others;
+        # each count was checked against a Leibniz brute force
+        nilpotent = MatModM(9, 6, [int(i == 1) for i in range(36)])
+        for spec, total in [
+            (OrderSpec(m=11, blocks=(5,), generators=()), 5),
+            (OrderSpec(m=13, blocks=(1, 6), generators=()), 6),
+            (OrderSpec(m=7, blocks=(5, 2), generators=()), 3),
+            (OrderSpec(m=9, blocks=(6,), generators=((nilpotent,),)), 3),
+        ]:
+            assert genus(spec).total == total, spec
