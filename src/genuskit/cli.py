@@ -1,23 +1,25 @@
-"""Command-line front end.
+"""Command-line front end: genuskit <verb> [arguments] [options].
 
 One verb per invocation; results go to stdout, diagnostics to stderr.
 Exit status: 0 success, 1 invalid input, 2 resource limit exceeded.
-With --json the output is a single object {verb, inputs, result, elapsedMs};
-a resource limit prints {verb, error: {message, phase, needed, cap,
-lowerBound}} instead, next to the usual line on stderr.
-main() may be called any number of times in one process: the argument
-parser is built on the first call and reused, while the cap and the
-environment are read afresh on every call.
+Options follow the verb, before or after its arguments: --json, --cap N
+or --cap=N, and --only TEXT for check; a unique prefix such as --js names
+an option, every token after -- is an argument, and -h or --help prints
+this.  With --json the output is a single object {verb, inputs, result,
+elapsedMs}; a resource limit prints {verb, error: {message, phase, needed,
+cap, lowerBound}} instead, next to the usual line on stderr.  main() may
+be called any number of times in one process: it reads the arguments, the
+cap and the environment afresh on every call.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 from . import acceptance
 from .atoms import atom_a, endo_order, genus_of_atom, parse_atom
@@ -34,94 +36,97 @@ from .rings import gcd, totient
 
 CAP_ENV_VAR = "GENUSKIT_CAP"
 
+# verb: (positional names, help); the positionals m and r are ints
+_VERBS = {
+    "totient": (("m",), "Euler totient of m"),
+    "gl-order": (("r", "m"), "order of GL(r, Z/m)"),
+    "stable-image": (("r", "m"), "order of the subgroup of GL(r, Z/m) "
+                     "generated by elementary matrices"),
+    "double-cosets": (("spec",), "double-coset count for an order spec JSON file"),
+    "genus-order": (("spec",), "genus of an order spec JSON file"),
+    "genus-pullback": (("m",), "genus of the congruence pullback of Z x Z at "
+                       "level m, by enumeration and by formula"),
+    "genus-atom": (("atom",), 'genus of an atom, e.g. "A(6)@10"'),
+    "table-A": ((), "genus table of the atoms A(v) for v = 1..12"),
+    "check": ((), "run the acceptance checks"),
+}
+_OPTIONS = ("--help", "--json", "--cap", "--only")  # --only for check alone
+
+# a token that starts with "-" is an option unless it is "-" or reads as a
+# negative number, so that "--cap -5" and "totient -5" reach the range checks
+_is_value = re.compile(r"(?s)(?!-).*|-|-\d+|-\d*\.\d+").fullmatch
+
 
 class _UsageError(ValueError):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; 2 means resource-limit here,
-    # so usage problems are rerouted through the invalid-input path instead
-    def error(self, message):
-        raise _UsageError(message)
+def _int(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"{name} must be an integer, got {text!r}") from None
 
 
-# built on the first main() call, not at import, so importing stays cheap;
-# parse_args keeps no state between calls, so one parser serves them all
-@functools.cache
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="emit a single JSON object"
-    )
-    common.add_argument(
-        "--cap",
-        type=int,
-        default=None,
-        help=f"enumeration cap (default {DEFAULT_CAP}; env {CAP_ENV_VAR})",
-    )
-
-    parser = _Parser(prog="genuskit", description=__doc__)
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("totient", parents=[common], help="Euler totient of m")
-    p.add_argument("m", type=int)
-
-    for verb, group in [
-        ("gl-order", "GL(r, Z/m)"),
-        ("stable-image", "the subgroup of GL(r, Z/m) generated by elementary matrices"),
-    ]:
-        p = sub.add_parser(verb, parents=[common], help=f"order of {group}")
-        p.add_argument("r", type=int)
-        p.add_argument("m", type=int)
-
-    p = sub.add_parser(
-        "double-cosets", parents=[common],
-        help="double-coset count for an order spec JSON file",
-    )
-    p.add_argument("spec", help="path to the order spec")
-
-    p = sub.add_parser(
-        "genus-order", parents=[common], help="genus of an order spec JSON file"
-    )
-    p.add_argument("spec", help="path to the order spec")
-
-    p = sub.add_parser(
-        "genus-pullback", parents=[common],
-        help="genus of the congruence pullback of Z x Z at level m, "
-        "by enumeration and by formula",
-    )
-    p.add_argument("m", type=int)
-
-    p = sub.add_parser(
-        "genus-atom", parents=[common], help='genus of an atom, e.g. "A(6)@10"'
-    )
-    p.add_argument("atom")
-
-    sub.add_parser(
-        "table-A", parents=[common],
-        help="genus table of the atoms A(v) for v = 1..12",
-    )
-
-    p = sub.add_parser(
-        "check", parents=[common], help="run the acceptance checks"
-    )
-    p.add_argument(
-        "--only", default=None, help="run only checks whose name contains this"
-    )
-    return parser
+def _parse(argv) -> SimpleNamespace | None:
+    """The verb, its positionals by name, json, cap and only; None when -h
+    or --help asks for the help.  A bad value fails at once, a missing or
+    surplus token only after the last token, as -h may still come."""
+    args = SimpleNamespace(verb=None, json=False, cap=None, only=None)
+    names, values, extras = (), [], []
+    dashdash = False
+    tokens = iter(argv)
+    for token in tokens:
+        if dashdash or _is_value(token) or token == "--" and args.verb is None:
+            if args.verb is None:
+                if token not in _VERBS:
+                    raise _UsageError(f"unknown verb {token!r}; "
+                                      f"choose from {', '.join(_VERBS)}")
+                args.verb, names = token, _VERBS[token][0]
+            elif len(values) < len(names):
+                name = names[len(values)]
+                values.append(_int(name, token) if name in ("m", "r") else token)
+            else:
+                extras.append(token)
+            continue
+        if token == "--":
+            dashdash = True
+            continue
+        name, eq, value = token.partition("=")
+        # before the verb only --help is known; the options differ in their
+        # first letter, so no prefix of one is ambiguous
+        known = _OPTIONS[:1 if args.verb is None else 3 + (args.verb == "check")]
+        option = "--help" if token == "-h" else next(
+            (o for o in known if len(name) > 2 and o.startswith(name)), None)
+        if option is None:
+            extras.append(token)
+        elif eq and option in ("--help", "--json"):
+            raise _UsageError(f"argument {option} takes no value")
+        elif option == "--help":
+            return None
+        elif option == "--json":
+            args.json = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or not _is_value(value):
+                    raise _UsageError(f"argument {option} expects one value")
+            setattr(args, option[2:], _int(option, value) if option == "--cap" else value)
+    if args.verb is None:
+        raise _UsageError(f"a verb is required; choose from {', '.join(_VERBS)}")
+    if len(values) < len(names):
+        raise _UsageError(f"{args.verb} needs {' '.join(names)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    vars(args).update(zip(names, values))
+    return args
 
 
 def _resolve_cap(args) -> int:
     if args.cap is not None:  # flag wins over the environment
         return args.cap
     env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise _UsageError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_CAP
+    return DEFAULT_CAP if env is None else _int(CAP_ENV_VAR, env)
 
 
 def _table_a_rows(cap: int) -> list[dict]:
@@ -216,24 +221,18 @@ def _run_verb(args, cap: int) -> tuple[object, dict, list[str], int]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:  # -h or --help
+            print(f"{__doc__}\n--cap defaults to ${CAP_ENV_VAR}, else {DEFAULT_CAP}.\n\nverbs:")
+            for verb, (names, text) in _VERBS.items():
+                print(f"  {' '.join((verb,) + names):<22} {text}")
+            return 0
         cap = _resolve_cap(args)
         started = time.perf_counter()
         result, inputs, lines, status = _run_verb(args, cap)
         elapsed_ms = int(round((time.perf_counter() - started) * 1000))
-    except (_UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # _UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

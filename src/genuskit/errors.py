@@ -4,8 +4,8 @@
 class ResourceLimitError(RuntimeError):
     """An enumeration would exceed the configured element cap.
 
-    ``phase`` names the refused step (``"closure"``, ``"enumeration"`` or
-    ``"scan"``), ``needed`` the size it would have
+    ``phase`` names the refused step (``"closure"``, ``"enumeration"``,
+    ``"determinant"`` or ``"scan"``), ``needed`` the size it would have
     reached and ``cap`` the limit that size is above.  When ``lower_bound``
     is true, ``needed`` is only a lower bound on that size: the step was
     refused before the size itself was known.

@@ -535,8 +535,8 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
 
     where D & S is the intersection.  A whole-ring subring, or one whose
     probe already gives index 1, returns 1 without the scan of S.
-    ``cap`` bounds the number of subring elements; blocks of every size
-    are taken.
+    ``cap`` bounds the number of subring elements and, past the whole-ring
+    return, the r*2^(r-1) terms of the largest block's determinant.
     """
     k = len(spec.blocks)
     m = spec.m
@@ -545,6 +545,13 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
     size = prod(additive)
     if size == m**shape.width:
         return 1  # the whole ring: det maps its units onto ((Z/m)^x)^k
+    r = max(spec.blocks)
+    terms = r * 2 ** (r - 1)  # of the Laplace expansion of one r x r determinant
+    if terms > cap:
+        raise ResourceLimitError(
+            f"a {r}x{r} determinant takes {terms} terms, above the cap of {cap}",
+            phase="determinant", needed=terms, cap=cap,
+        )
     if (4 * _PROBE < size < 2**63 and m**k < 2**63
             and sign_count(m) ** k * size >= totient(m) ** k):
         probe = _unit_dets(shape, [_probe(basis, additive, m)], _PROBE)

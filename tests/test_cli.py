@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -147,6 +148,58 @@ class TestErrorPaths:
         assert "genuskit" in out
 
 
+# exit code and stdout of each argument form, as the argparse front end
+# gave them; a dict is the --json object without elapsedMs, and check's
+# per-criterion time is left out
+TOTIENT_24 = {"inputs": {"m": 24}, "result": 8, "verb": "totient"}
+PARITY = [
+    (["--json", "totient", "24"], 1, ""),
+    (["totient", "--json", "24"], 0, TOTIENT_24),
+    (["totient", "24", "--js"], 0, TOTIENT_24),
+    (["totient", "--", "24"], 0, "8\n"),
+    (["totient", "--", "24", "--json"], 1, ""),
+    (["totient", "1_000"], 0, "400\n"),
+    (["gl-order", "2", "3", "--cap=100"], 0, "48\n"),
+    (["gl-order", "--ca", "100", "2", "3"], 0, "48\n"),
+    (["gl-order", "2", "3", "--cap", "-5"], 2, ""),
+    (["totient", "-5"], 1, ""),
+    (["totient"], 1, ""),
+    (["totient", "5", "6"], 1, ""),
+    (["totient", "x"], 1, ""),
+    (["--cap", "x"], 1, ""),
+    (["genus-pullback", "12", "--only", "x"], 1, ""),
+    (["frob"], 1, ""),
+    ([], 1, ""),
+    (["check", "--on", "atom-table"], 0,
+     "PASS atom-table: expected g(A(v)) = 4 if gcd(v,24)=1, 2 if gcd in {2,3}, "
+     "else 1; got all 12 cases agree\n1/1 checks passed\n"),
+]
+
+
+class TestArgumentForms:
+    @pytest.mark.parametrize("argv, status, expected", PARITY,
+                             ids=[" ".join(argv) or "(none)" for argv, _, _ in PARITY])
+    def test_same_exit_code_and_stdout(self, capsys, argv, status, expected):
+        got, out, err = run(capsys, *argv)
+        assert got == status
+        if isinstance(expected, dict):
+            out = json.loads(out)
+            out.pop("elapsedMs")
+        else:
+            out = re.sub(r" \(\d+\.\d+s\)", "", out)
+        assert out == expected
+        assert bool(err) == (status != 0)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["totient", "--he"]])
+    def test_help_names_every_verb(self, capsys, argv):
+        status, out, err = run(capsys, *argv)
+        assert (status, err) == (0, "")
+        for verb in ("totient", "gl-order", "stable-image", "double-cosets",
+                     "genus-order", "genus-pullback", "genus-atom", "table-A",
+                     "check"):
+            assert f"\n  {verb} " in out
+
+
 class TestCap:
     def test_flag_cap(self, capsys):
         status, _, err = run(capsys, "gl-order", "2", "5", "--cap", "100")
@@ -287,22 +340,6 @@ class TestRepeatedCalls:
         assert run(capsys, "gl-order", "--help")[0] == 0
         assert run(capsys, "gl-order", "2", "3") == (0, "48\n", "")
 
-    def test_parser_is_built_once(self, capsys, monkeypatch):
-        import genuskit.cli as cli
-
-        run(capsys, "totient", "5")
-        built = []
-        real_init = cli._Parser.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            real_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-        for argv in (["totient", "7"], ["gl-order", "2", "3"], ["--help"]):
-            run(capsys, *argv)
-        assert built == []
-
 
 class TestEntryPoint:
     def test_python_dash_m_invocation(self, subprocess_env):
@@ -314,6 +351,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "brute=2 formula=2"
+
+    def test_import_loads_no_argparse(self, subprocess_env):
+        code = ("import sys, genuskit.cli; "
+                "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=subprocess_env)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+    @pytest.mark.parametrize("argv, status", [([], 1), (["--help"], 0)])
+    def test_arguments_come_from_sys_argv(self, subprocess_env, argv, status):
+        proc = subprocess.run([sys.executable, "-m", "genuskit", *argv],
+                              capture_output=True, text=True, env=subprocess_env)
+        assert proc.returncode == status
 
 
 class TestCheckVerb:

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from functools import lru_cache
 from math import prod
 
@@ -1111,3 +1112,22 @@ class TestResourceLimitFields:
             (OrderSpec(m=9, blocks=(6,), generators=((nilpotent,),)), 3),
         ]:
             assert genus(spec).total == total, spec
+
+    def test_determinant_terms_above_cap(self):
+        # an 8x8 determinant takes 8 * 2^7 = 1024 Laplace terms
+        spec = OrderSpec(m=3, blocks=(8,), generators=())
+        with pytest.raises(ResourceLimitError, match="^a 8x8 determinant takes "
+                           "1024 terms, above the cap of 1023$") as info:
+            genus(spec, cap=1023)
+        e = info.value
+        assert (e.phase, e.needed, e.cap, e.lower_bound) == ("determinant", 1024, 1023, False)
+        assert genus(spec, cap=1024).total == 1
+
+    def test_huge_block_fails_fast(self, monkeypatch):
+        # the refusal comes before any determinant is planned or taken
+        forbid(monkeypatch, "_unit_dets")
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as info:
+            genus(OrderSpec(m=3, blocks=(40,), generators=()))
+        assert time.perf_counter() - start < 1.0
+        assert (info.value.phase, info.value.needed) == ("determinant", 40 * 2**39)
