@@ -113,10 +113,7 @@ def check_stable_image(cap: int = DEFAULT_CAP) -> CheckResult:
         # both scans return ascending codes, so equal arrays are equal sets
         matrices_mod._check_scan_cap(r, m, cap)
         image = matrices_mod._stable_flat(r, m)
-        gl = matrices_mod._gl_flat(r, m)
-        dets = matrices_mod._block_dets(matrices_mod._shape(m, (r,)),
-                                        matrices_mod._decode(gl, r, m))
-        expected = gl[is_sign(dets[:, 0], m)]
+        expected = matrices_mod._gl_flat(r, m, is_sign(np.arange(m), m))
         if not np.array_equal(image, expected):
             failures.append(
                 f"r={r}, m={m}: closure has {len(image)} elements, "

@@ -250,30 +250,33 @@ def _decode(codes: np.ndarray, r: int, m: int) -> np.ndarray:
     """Rows of the r x r matrices whose base-m codes are given: a code reads
     the row as r^2 digits, the first entry most significant."""
     place = m ** np.arange(r * r - 1, -1, -1, dtype=np.int64)
-    return codes[:, None] // place % m
+    rows = codes[:, None] // place
+    return np.remainder(rows, m, out=rows)  # no second temporary
 
 
-def _gl_flat(r: int, m: int) -> np.ndarray:
-    """Ascending codes of the invertible r x r matrices mod m, found by a
-    determinant filter over slabs of all m^(r^2) codes."""
+def _gl_flat(r: int, m: int, lut: np.ndarray | None = None) -> np.ndarray:
+    """Ascending codes of the r x r matrices mod m whose determinant d has
+    lut[d] True, found by a filter over slabs of all m^(r^2) codes.  The
+    default lut, the units mod m, gives GL(r, Z/m); criterion 4 passes the
+    signs +-1."""
     shape = _shape(m, (r,))
-    units = _unit_lut(m)
+    lut = _unit_lut(m) if lut is None else lut
     total = m ** (r * r)
     kept = []
     for lo in range(0, total, _CHUNK):
         codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        kept.append(codes[units[_block_dets(shape, _decode(codes, r, m))[:, 0]]])
+        kept.append(codes[lut[_block_dets(shape, _decode(codes, r, m))[:, 0]]])
     return np.concatenate(kept)
 
 
-def _row_table(gens: list[MatModM], lo: int, hi: int) -> np.ndarray:
-    """T[g, c - lo] is the code of v*g for the g-th generator g and the row
-    v of length r with base-m code c, the first entry most significant, for
-    the row codes lo <= c < hi; shape (#gens, hi - lo)."""
+def _row_table(gens: list[MatModM]) -> np.ndarray:
+    """T[g, c] is the code of v*g for the g-th generator g and the row v of
+    length r with base-m code c, the first entry most significant; shape
+    (#gens, m^r)."""
     r, m = gens[0].size, gens[0].modulus
     place = m ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    # column c - lo holds the entries of row code c
-    digits = np.arange(lo, hi, dtype=np.int64) // place[:, None] % m
+    # column c holds the entries of row code c
+    digits = np.arange(m**r, dtype=np.int64) // place[:, None] % m
     return np.array([place @ (np.array(g.rows).T @ digits % m) for g in gens])
 
 
@@ -290,21 +293,16 @@ def _right_products(table: np.ndarray, codes: np.ndarray, r: int) -> np.ndarray:
 
 
 def _stable_flat(r: int, m: int) -> np.ndarray:
-    """Ascending codes of the closure of the elementary generators: a
-    frontier search that right-multiplies each frontier by all generators
-    through their row tables, so no matrix is decoded or multiplied.  What
-    was reached is marked in a boolean map over all m^(r^2) codes, which
-    _check_scan_cap bounds.  It serves stable_image and criterion 4."""
-    gens = elementary_generators(r, m)
-    rows_m = m**r
-    # The table is filled a block of _CHUNK row codes at a time, when the
-    # search first meets a row in the block.  For r >= 2 the m^r row codes
-    # are far fewer than the m^(r^2) codes of the map and fill one block at
-    # the default cap; for r = 1 they are all the codes, and the search
-    # meets only +-1.  The pages of a block of np.empty stay untouched, and
-    # so out of the resident set, until the block is filled.
-    table = np.empty((len(gens), rows_m), dtype=np.int64)
-    todo = np.ones(-(-rows_m // _CHUNK), dtype=bool)
+    """Ascending codes of the closure of the elementary generators.  For
+    r = 1 the one generator is -1 and the closure is {+-1}.  For r >= 2 a
+    frontier search right-multiplies each frontier by all generators through
+    their row tables over the m^r row codes, so no matrix is decoded or
+    multiplied.  What was reached is marked in a boolean map over all
+    m^(r^2) codes, which _check_scan_cap bounds.  It serves stable_image and
+    criterion 4."""
+    if r == 1:
+        return np.array(sorted({1 % m, -1 % m}), dtype=np.int64)
+    table = _row_table(elementary_generators(r, m))
     place = m ** np.arange(r * r - 1, -1, -1, dtype=np.int64)
     seen = np.zeros(m ** (r * r), dtype=bool)
     frontier = np.array([MatModM.identity(r, m).entries]) @ place
@@ -312,16 +310,7 @@ def _stable_flat(r: int, m: int) -> np.ndarray:
     while len(frontier):
         reached = []
         for lo in range(0, len(frontier), _CHUNK):
-            chunk = frontier[lo : lo + _CHUNK]
-            if todo.any():
-                hit = np.zeros_like(todo)
-                for a in range(r):
-                    hit[chunk // rows_m**a % rows_m // _CHUNK] = True
-                for b in np.flatnonzero(hit & todo):
-                    block = slice(b * _CHUNK, min((b + 1) * _CHUNK, rows_m))
-                    table[:, block] = _row_table(gens, block.start, block.stop)
-                todo &= ~hit
-            codes = _right_products(table, chunk, r).ravel()
+            codes = _right_products(table, frontier[lo : lo + _CHUNK], r).ravel()
             new = _distinct_rows(codes[~seen[codes]])
             seen[new] = True
             reached.append(new)

@@ -253,9 +253,10 @@ def _mats_to_row(tup) -> tuple[int, ...]:
 # product, so the pass stops there.
 
 
-def _insert(rows: list[list[int]], pivots: list[int], m: int, v: list[int]) -> bool:
-    """Add v to the span of the Howell basis (rows, pivots), in place;
-    True when the span grew.
+def _insert(basis: dict[int, tuple[list[int], int]], m: int, v: list[int]) -> bool:
+    """Add v to the span of the Howell basis, a dict from a pivot column j
+    to its row and pivot d_j, in place; True when the span grew.  A column
+    with no entry has no row and pivot m.
 
     A column whose pivot does not divide v_j takes the extended-gcd merge
     g = s*d_j + t*v_j of its row b and v: the unimodular step (b, v) ->
@@ -267,6 +268,7 @@ def _insert(rows: list[list[int]], pivots: list[int], m: int, v: list[int]) -> b
     empty column (d_j = m) has b = 0 and a zero annihilator.
     """
     grew = False
+    zero = [0] * len(v)
     pending = [v]
     while pending:
         v = pending.pop()
@@ -274,14 +276,13 @@ def _insert(rows: list[list[int]], pivots: list[int], m: int, v: list[int]) -> b
             x = v[j]
             if x == 0:
                 continue
-            b, d = rows[j], pivots[j]
+            b, d = basis.get(j, (zero, m))
             if x % d == 0:
                 q = x // d
                 v = [(e - q * c) % m for e, c in zip(v, b)]
                 continue
             g, s, t = ext_gcd(d, x)
-            new = [(s * c + t * e) % m for e, c in zip(v, b)]
-            rows[j], pivots[j] = new, g
+            basis[j] = [(s * c + t * e) % m for e, c in zip(v, b)], g
             pending.append([(x // g * c - d // g * e) % m for e, c in zip(v, b)])
             grew = True
             break
@@ -290,7 +291,7 @@ def _insert(rows: list[list[int]], pivots: list[int], m: int, v: list[int]) -> b
 
 def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
     """Howell basis of the subring generated by the identity and gen_rows:
-    the rows whose pivot is below m, and the additive order m/d_j of each.
+    its rows in column order, and the additive order m/d_j of each.
 
     The span is built from the words in gen_rows, breadth-first: each level
     multiplies the words that grew the span by every generator on the right
@@ -307,30 +308,29 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
     if reach >= 2**63:
         raise ResourceLimitError(f"level {m} is past the row kernel's int64 range",
                                  phase="closure", needed=reach, cap=2**63 - 1)
-    rows = [[0] * width for _ in range(width)]
-    pivots = [m] * width
+    basis = {}
     gens = np.array(gen_rows, dtype=np.int64).reshape(-1, width) % m
     identity = [int(i == j) for r in shape.blocks for i in range(r) for j in range(r)]
-    frontier = [identity] if _insert(rows, pivots, m, identity) else []
-    while frontier and max(pivots) > 1:
+    frontier = [identity] if _insert(basis, m, identity) else []
+    while frontier and (len(basis) < width or any(d > 1 for _, d in basis.values())):
         words = _mul_rows(shape, np.array(frontier, dtype=np.int64)[:, None], gens)
         frontier = [w for w in words.reshape(-1, width).tolist()
-                    if _insert(rows, pivots, m, w)]
-    size = prod(m // d for d in pivots)
+                    if _insert(basis, m, w)]
+    size = prod(m // d for _, d in basis.values())
     if size > cap:
         raise ResourceLimitError(
             f"the subring has {size} elements, above the cap of {cap}",
             phase="closure", needed=size, cap=cap,
         )
-    kept = [j for j, d in enumerate(pivots) if d < m]
-    reach = len(kept) * (m - 1) ** 2
+    reach = len(basis) * (m - 1) ** 2
     if reach >= 2**63:
         raise ResourceLimitError(
-            f"{len(kept)} basis rows at level {m} are past the int64 range",
+            f"{len(basis)} basis rows at level {m} are past the int64 range",
             phase="enumeration", needed=reach, cap=2**63 - 1,
         )
-    basis = np.array([rows[j] for j in kept], dtype=np.int64).reshape(-1, width)
-    return basis, [m // pivots[j] for j in kept]
+    cols = sorted(basis)
+    rows = np.array([basis[j][0] for j in cols], dtype=np.int64).reshape(-1, width)
+    return rows, [m // basis[j][1] for j in cols]
 
 
 def _combinations(basis: np.ndarray, additive: list[int], index: np.ndarray,

@@ -428,11 +428,8 @@ class TestClosedFormAndRowTables:
         mats = elementary_generators(r, m)
         gens = np.array([g.entries for g in mats])
         expected = matrices._mul_rows(shape, rows[:, None], gens) @ place
-        table = matrices._row_table(mats, 0, m**r)
+        table = matrices._row_table(mats)
         assert table.shape == (len(gens), m**r)
-        # a block of the table is the same slice of the whole
-        hi = max(1, m**r // 2)
-        assert (matrices._row_table(mats, hi // 2, hi) == table[:, hi // 2 : hi]).all()
         got = matrices._right_products(table, rows @ place, r)
         assert got.tolist() == expected.T.tolist()
 
@@ -448,21 +445,23 @@ class TestClosedFormAndRowTables:
             assert len(matrices._stable_flat(r, m)) == order
 
     def test_table_blocks_fill_as_the_search_meets_them(self, monkeypatch):
-        # with 5-code blocks and chunks, the table of (2, 16) has 52 blocks
-        # and the search passes many chunks; r = 1 at m = 100003 fills only
-        # the blocks of the row codes 1 and m - 1
+        # with 5-code chunks the search of (2, 16) passes many chunks; r = 1
+        # needs no search, as its one generator -1 gives just +-1
         expected = {(r, m): stable_image_order(r, m)
                     for r, m in [(1, 12), (2, 6), (2, 16), (3, 2), (3, 3)]}
         monkeypatch.setattr(matrices, "_CHUNK", 5)
         for (r, m), order in expected.items():
             assert len(matrices._stable_flat(r, m)) == order
         monkeypatch.undo()
-        calls = []
-        real = matrices._row_table
-        monkeypatch.setattr(matrices, "_row_table",
-                            lambda *args: calls.append(args[1:]) or real(*args))
+
+        def fail(*args):
+            raise AssertionError("r = 1 built a row table")
+
+        monkeypatch.setattr(matrices, "_row_table", fail)
         assert matrices._stable_flat(1, 100003).tolist() == [1, 100002]
-        assert calls == [(0, 1 << 15), (3 << 15, 100003)]
+        monkeypatch.undo()
+        m = 1_999_993
+        assert stable_image(1, m).carrier == {MatModM(m, 1, [1]), MatModM(m, 1, [-1])}
 
     @pytest.mark.parametrize("order", [gl_order, stable_image_order, enumerate_gl])
     @pytest.mark.parametrize("r, m", [(100, 10), (2000, 10), (100, 3)])

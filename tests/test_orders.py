@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 from functools import lru_cache
 from math import prod
 
@@ -249,9 +250,9 @@ class TestSubringClosure:
                  for _ in range(width)]
                 for _ in range(rng.randint(1, 3))
             ]
-            rows, pivots = [[0] * width for _ in range(width)], [m] * width
+            howell = {}
             for v in vectors:
-                orders._insert(rows, pivots, m, list(v))
+                orders._insert(howell, m, list(v))
             span = frontier = {(0,) * width}
             while frontier:
                 frontier = {
@@ -259,12 +260,12 @@ class TestSubringClosure:
                     for x in frontier for v in vectors
                 } - span
                 span = span | frontier
-            kept = [j for j in range(width) if pivots[j] < m]
-            basis = np.array([rows[j] for j in kept], dtype=np.int64).reshape(-1, width)
+            kept = sorted(howell)
+            basis = np.array([howell[j][0] for j in kept], dtype=np.int64).reshape(-1, width)
             shape = matrices._shape(m, (1,) * width)
             got = {
                 tuple(row)
-                for c in orders._elements(shape, basis, [m // pivots[j] for j in kept])
+                for c in orders._elements(shape, basis, [m // howell[j][1] for j in kept])
                 for row in c.tolist()
             }
             assert got == span, (m, vectors)
@@ -949,10 +950,11 @@ class TestShortcuts:
         # no words are multiplied once every pivot is 1
         whole, products = [False], []
         real_insert, real_mul = orders._insert, orders._mul_rows
+        width = sum(r * r for r in spec.blocks)
 
-        def insert(rows, pivots, m, v):
-            grew = real_insert(rows, pivots, m, v)
-            whole[0] = max(pivots) == 1
+        def insert(basis, m, v):
+            grew = real_insert(basis, m, v)
+            whole[0] = len(basis) == width and all(d == 1 for _, d in basis.values())
             return grew
 
         def mul_rows(*args):
@@ -961,7 +963,6 @@ class TestShortcuts:
 
         monkeypatch.setattr(orders, "_insert", insert)
         monkeypatch.setattr(orders, "_mul_rows", mul_rows)
-        width = sum(r * r for r in spec.blocks)
         assert subring_size(spec) == spec.m**width
         assert whole[0] and products and not any(products)
 
@@ -1131,3 +1132,17 @@ class TestResourceLimitFields:
             genus(OrderSpec(m=3, blocks=(40,), generators=()))
         assert time.perf_counter() - start < 1.0
         assert (info.value.phase, info.value.needed) == ("determinant", 40 * 2**39)
+
+    def test_huge_block_is_refused_in_little_memory(self):
+        # the Howell basis holds a row only for each pivot column, so the
+        # 3600 columns of a 60x60 block do not make 3600 rows of 3600
+        spec = OrderSpec(m=3, blocks=(60,), generators=())
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as info:
+                genus(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.phase == "determinant"
+        assert peak < 5 * 2**20
