@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .matrices import DEFAULT_CAP
 from .orders import genus, pullback_spec
@@ -154,7 +155,9 @@ TORSION = EndoDescription("torsion")
 INTEGERS = EndoDescription("integers")
 
 
+@lru_cache(maxsize=64)
 def pullback(level: int) -> EndoDescription:
+    """The pullback description at ``level``, one shared instance per level."""
     return EndoDescription("pullback", level)
 
 

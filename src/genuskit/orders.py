@@ -28,12 +28,18 @@ case the determinants are taken over a streamed scan of S, a chunk of
 int64 rows of the row kernel in :mod:`genuskit.matrices` at a time, which
 never holds all of S.  The generic engine in :mod:`genuskit.cosets` serves
 as the test oracle for this route.
+
+genus_relative keeps its last 64 answers, keyed by the frozen OrderSpec and
+the cap, so an order asked again in one process (pullback levels shared by
+atoms and table rows, one spec file under several verbs) is answered
+without a closure or a scan.  A refusal raises and is never kept.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, prod
 from pathlib import Path
 
@@ -241,13 +247,14 @@ def _mats_to_row(tup) -> tuple[int, ...]:
 # S is the Z/m-span of the words in the generators, the identity being the
 # empty word, so a span that holds the identity and is closed under right
 # multiplication by each generator is S.  The closure therefore runs
-# breadth-first over words: it inserts the identity, then at each level
-# multiplies the words that grew the span on the right by every generator,
-# in one numpy call, and inserts the products; those that grew the span
-# make the next level.  This is exact.  Every word that did not grow the
-# span lies in the span of words that did, and each of those has all its
-# products with a generator g inserted, so by linearity the final span T
-# has T*g inside T.  Every insertion that grows the span at least doubles
+# breadth-first over words: it inserts the identity and then the generators
+# themselves, the words 1*g, which make the first level without a product;
+# from there each level multiplies the words that grew the span on the right
+# by every generator, in one numpy call, and inserts the products; those
+# that grew the span make the next level.  This is exact.  Every word that
+# did not grow the span lies in the span of words that did, and each of
+# those has all its products with a generator g inserted, so by linearity
+# the final span T has T*g inside T.  Every insertion that grows the span at least doubles
 # it, so at most log2|S| words grow it, and at most as many levels run.
 # Once every pivot is 1 the span is the whole ring, which holds every
 # product, so the pass stops there.
@@ -293,9 +300,10 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
     """Howell basis of the subring generated by the identity and gen_rows:
     its rows in column order, and the additive order m/d_j of each.
 
-    The span is built from the words in gen_rows, breadth-first: each level
-    multiplies the words that grew the span by every generator on the right
-    in one _mul_rows call, and the products that grow it make the next
+    The span is built from the words in gen_rows, breadth-first: the first
+    level is the generators, inserted after the identity, and each later
+    level multiplies the words that grew the span by every generator on the
+    right in one _mul_rows call; the products that grow it make the next
     level.  ``cap`` bounds |S| = prod m/d_j, checked before any element is
     made.
     """
@@ -311,7 +319,8 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
     basis = {}
     gens = np.array(gen_rows, dtype=np.int64).reshape(-1, width) % m
     identity = [int(i == j) for r in shape.blocks for i in range(r) for j in range(r)]
-    frontier = [identity] if _insert(basis, m, identity) else []
+    _insert(basis, m, identity)
+    frontier = [g for g in gens.tolist() if _insert(basis, m, g)]
     while frontier and (len(basis) < width or any(d > 1 for _, d in basis.values())):
         words = _mul_rows(shape, np.array(frontier, dtype=np.int64)[:, None], gens)
         frontier = [w for w in words.reshape(-1, width).tolist()
@@ -352,12 +361,14 @@ def _elements(shape: _Shape, basis: np.ndarray, additive: list[int]):
 
     The last rows vary fastest and are tabulated once, unreduced: an entry
     sums one multiple below m per row.  Each chunk adds the table to the
-    _combinations of the leading rows.  The work runs on transposed
-    (width, n) arrays, so that numpy's inner loops run along the elements
-    rather than along a short row, and a chunk is handed out as the
-    transposed view, whose columns are contiguous.  Every chunk is a view
-    of one buffer, which the next chunk overwrites: fresh memory for each
-    chunk cost more in page faults than the additions that fill it.
+    _combinations of the leading rows; a subring of at most _CHUNK
+    elements has no leading rows and is its table, reduced mod m, in one
+    chunk.  The work runs on transposed (width, n) arrays, so that numpy's
+    inner loops run along the elements rather than along a short row, and
+    a chunk is handed out as the transposed view, whose columns are
+    contiguous.  Past one chunk every chunk is a view of one buffer, which
+    the next chunk overwrites: fresh memory for each chunk cost more in
+    page faults than the additions that fill it.
     """
     m, width = shape.m, shape.width
     split, low = len(basis), 1
@@ -368,6 +379,9 @@ def _elements(shape: _Shape, basis: np.ndarray, additive: list[int]):
     for row, n in zip(basis[split:], additive[split:]):
         mults = row[:, None] * np.arange(n, dtype=np.int64) % m
         table = (mults[:, :, None] + table[:, None]).reshape(width, -1)
+    if not split:
+        yield np.remainder(table, m, out=table).T
+        return
     total, step = prod(additive[:split]), max(1, _CHUNK // low)
     buffer = np.empty((width, min(step, total), low), dtype=np.int64)
     for lo in range(0, total, step):
@@ -523,6 +537,7 @@ def subring_units(S, m: int, blocks) -> FiniteGroup:
     return FiniteGroup(units, op, identity, name=f"units of subring mod {m}")
 
 
+@lru_cache(maxsize=64)
 def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
     """Number of double cosets H \\ U / K for the spec's order.
 
@@ -537,6 +552,8 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
     probe already gives index 1, returns 1 without the scan of S.
     ``cap`` bounds the number of subring elements and, past the whole-ring
     return, the r*2^(r-1) terms of the largest block's determinant.
+    The last 64 answers are kept, keyed by (spec, cap) as passed; a
+    ResourceLimitError is raised again on each call, never kept.
     """
     k = len(spec.blocks)
     m = spec.m

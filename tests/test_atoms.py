@@ -174,6 +174,10 @@ class TestEndoOrder:
         assert endo_order(atom_a(v)) == pullback(level)
         assert level == 24 // math.gcd(v, 24)
 
+    def test_one_description_per_level(self):
+        # A(1) and A(5) both have level 24 and share one frozen description
+        assert endo_order(atom_a(1)) is endo_order(atom_a(5))
+
     def test_catalog_levels_in_allowed_set(self):
         for v in range(1, 13):
             assert endo_order(atom_a(v)).level in {2, 3, 4, 6, 8, 12, 24}

@@ -291,6 +291,66 @@ class TestSubringClosure:
             assert len(got) == len(set(got)) == np.prod(additive)
             assert set(got) == brute, spec
 
+    def test_closure_matches_an_identity_frontier(self):
+        # the generators are the closure's first level; the reference starts
+        # from the identity alone and reaches them as the products 1 * g, so
+        # both insert the same vectors in the same order
+        def reference(shape, gen_rows, m):
+            basis, width = {}, shape.width
+            gens = np.array(gen_rows, dtype=np.int64).reshape(-1, width) % m
+            identity = [int(i == j) for r in shape.blocks
+                        for i in range(r) for j in range(r)]
+            frontier = [identity] if orders._insert(basis, m, identity) else []
+            while frontier and (len(basis) < width
+                                or any(d > 1 for _, d in basis.values())):
+                words = matrices._mul_rows(
+                    shape, np.array(frontier, dtype=np.int64)[:, None], gens)
+                frontier = [w for w in words.reshape(-1, width).tolist()
+                            if orders._insert(basis, m, w)]
+            cols = sorted(basis)
+            return [basis[j][0] for j in cols], [m // basis[j][1] for j in cols]
+
+        rng = random.Random(16)
+        levels = (2, 3, 4, 5, 6, 8, 9, 10, 12)
+        composite = 0
+        for _ in range(240):
+            blocks = rng.choice([(1, 1), (2,), (1, 2), (1, 1, 1), (3,)])
+            m = rng.choice(levels)
+            spec = random_spec(rng, m, blocks, n_gens=rng.randint(0, 3))
+            shape = matrices._shape(m, blocks)
+            rows = [orders._mats_to_row(t) for t in spec.generators]
+            got_rows, got_additive = orders._closure(shape, rows, 10**30)
+            want_rows, want_additive = reference(shape, rows, m)
+            assert got_rows.tolist() == want_rows, spec
+            assert got_additive == want_additive, spec
+            composite += m in (4, 6, 8, 9, 10, 12)
+        assert composite >= 100
+
+    def test_one_chunk_subring_is_its_table(self, monkeypatch):
+        # with _CHUNK = |S| the subring is one chunk, the table of all its
+        # basis rows, and takes no _combinations; one less and it is split
+        combos = spy(monkeypatch, "_combinations")
+        for spec in (
+            spec_1x1(12, [(1, 3)]),
+            spec_3x1(6, [(0, 2, 0), (0, 3, 1)]),
+            matrix_units_spec(2),
+            pullback_spec(12),
+        ):
+            shape = matrices._shape(spec.m, spec.blocks)
+            rows = [orders._mats_to_row(t) for t in spec.generators]
+            basis, additive = orders._closure(shape, rows, cap=10**6)
+            size = prod(additive)
+            brute = {sum(t, ()) for t in brute_subring_closure(spec)}
+            for chunk, one in ((size, True), (size - 1, False)):
+                monkeypatch.setattr(orders, "_CHUNK", chunk)
+                combos.clear()
+                # each chunk is overwritten by the next, so keep copies
+                chunks = [c.tolist() for c in orders._elements(shape, basis, additive)]
+                got = [tuple(row) for c in chunks for row in c]
+                assert len(got) == len(set(got)) == size, spec
+                assert set(got) == brute, spec
+                assert (len(chunks) == 1 and not combos) == one, (spec, chunk)
+
 
 class TestSubringUnits:
     def test_scalars(self):
@@ -480,8 +540,12 @@ class TestGenus:
 
     def test_cap_boundary_is_subring_size(self):
         assert genus(pullback_spec(30), cap=30).total == 4
+        # cap is part of the memo's key: the answer kept for cap 30 does not
+        # answer at cap 29, and the refusal is not kept
         with pytest.raises(ResourceLimitError):
             genus(pullback_spec(30), cap=29)
+        info = genus_relative.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 1)
 
     def test_level_out_of_reach_fails_fast(self):
         # the subring holds the m multiples of the identity, so m > cap is
@@ -507,6 +571,32 @@ class TestGenus:
         monkeypatch.setattr(orders, "genus_relative", lambda spec, cap: 99)
         with pytest.raises(InternalInconsistencyError):
             genus(pullback_spec(5))
+
+
+class TestGenusMemo:
+    def test_repeated_order_is_a_hit(self, monkeypatch):
+        assert genus_relative(matrix_pullback_spec(7, 2)) == 3
+        closures = spy(monkeypatch, "_closure")
+        # an equal spec built anew hits the memo and takes no closure
+        assert genus_relative(matrix_pullback_spec(7, 2)) == 3
+        assert genus_relative.cache_info().hits == 1
+        assert not closures
+
+    def test_refusal_raises_again_and_is_not_kept(self):
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError, match="2401"):
+                genus_relative(matrix_units_spec(7), 100)
+        info = genus_relative.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_memo_is_bounded(self):
+        for m in range(2, 102):
+            genus_relative(pullback_spec(m))
+        info = genus_relative.cache_info()
+        assert info.misses == 100 and info.currsize <= 64
+        # the oldest entries were dropped first
+        genus_relative(pullback_spec(2))
+        assert genus_relative.cache_info().hits == 0
 
 
 class TestRouteAgreement:
@@ -980,6 +1070,14 @@ class TestShortcuts:
         scans = spy(monkeypatch, "_elements")
         assert genus(matrix_pullback_spec(7, 2)).total == 3
         assert len(spans) == len(scans) == 1
+
+    def test_small_pullback_takes_no_products_and_no_combinations(self, monkeypatch):
+        # the generator (1, 1) is the identity, which the first level finds
+        # in the span, and the m scalars make one chunk: the genus takes no
+        # blockwise product and no mixed-radix combination
+        forbid(monkeypatch, "_mul_rows", "_combinations")
+        for m in range(2, 161):
+            assert genus(pullback_spec(m)).total == genus_pullback_formula(m), m
 
     def test_probe_skipped_when_index_one_is_impossible(self, monkeypatch):
         # |S| = 10007 scalars but 4 * |S| < phi(10007)^2, so genus > 1
