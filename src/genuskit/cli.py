@@ -149,7 +149,7 @@ def _run_verb(args, cap: int) -> tuple[object, dict, list[str], int]:
     """Returns (json result, inputs echo, text lines, exit status)."""
     verb = args.verb
     if verb == "totient":
-        value = totient(args.m)
+        value = totient(args.m, cap)
         return value, {"m": args.m}, [str(value)], 0
     if verb in ("gl-order", "stable-image"):
         order = gl_order if verb == "gl-order" else stable_image_order

@@ -5,10 +5,10 @@ class ResourceLimitError(RuntimeError):
     """An enumeration would exceed the configured element cap.
 
     ``phase`` names the refused step (``"closure"``, ``"enumeration"``,
-    ``"determinant"`` or ``"scan"``), ``needed`` the size it would have
-    reached and ``cap`` the limit that size is above.  When ``lower_bound``
-    is true, ``needed`` is only a lower bound on that size: the step was
-    refused before the size itself was known.
+    ``"determinant"``, ``"scan"`` or ``"factorization"``), ``needed`` the size
+    it would have reached and ``cap`` the limit that size is above.  When
+    ``lower_bound`` is true, ``needed`` is only a lower bound on that size:
+    the step was refused before the size itself was known.
     """
 
     def __init__(self, message: str, *, phase: str | None = None,

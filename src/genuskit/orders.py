@@ -15,19 +15,16 @@ every block has determinant +-1; acceptance criterion 4 checks this by
 exhaustive set comparison for r = 2, m <= 12 and r = 3, m <= 4.  H is
 therefore normal in U with abelian quotient, and
 
-    genus = phi(m)^k / |det(K) * {+-1}^k|
+    genus = [((Z/m)^x)^k : det(K) * {+-1}^k] = (phi(m)/sigma(m))^k / c
 
-where k is the number of blocks.  The subring S is held as a Howell basis
-over Z/m, so |S| is exact before any element exists, and that size is the
-only size limit.  Two exact shortcuts then give genus 1 without a scan of
-S.  When every pivot is 1, S is the whole ring, and det maps its units
-onto ((Z/m)^x)^k.  Otherwise a probe of a few hundred elements of S gives
-determinants that generate a subgroup D' of det(K); the index for D' is
-never below the genus, so when it is 1 the genus is 1.  In every other
-case the determinants are taken over a streamed scan of S, a chunk of
-int64 rows of the row kernel in :mod:`genuskit.matrices` at a time, which
-never holds all of S.  The generic engine in :mod:`genuskit.cosets` serves
-as the test oracle for this route.
+for k blocks, sigma(m) = |{+-1}| and c the number of cosets of {+-1}^k that
+det(K) meets.  The subring S is held as a Howell basis over Z/m, so |S| is
+exact before any element exists, and that size is the only size limit.  A
+whole ring, and a subring above one chunk whose probe already meets every
+coset, have genus 1 without a scan of S; otherwise c is counted over a
+streamed scan of S, a chunk of int64 rows of the row kernel in
+:mod:`genuskit.matrices` at a time, which never holds all of S.  The
+generic engine in :mod:`genuskit.cosets` is the test oracle for this route.
 
 genus_relative keeps its last 64 answers, keyed by the frozen OrderSpec and
 the cap, so an order asked again in one process (pullback levels shared by
@@ -49,7 +46,7 @@ from .cosets import FiniteGroup
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .matrices import (_CHUNK, DEFAULT_CAP, MatModM, _block_dets, _distinct_rows,
                        _mul_rows, _Shape, _shape, _unit_lut, det, mat_mul)
-from .rings import ext_gcd, is_sign, sign_count, totient
+from .rings import ext_gcd, sign_count, totient
 
 
 @dataclass(frozen=True)
@@ -394,49 +391,48 @@ def _elements(shape: _Shape, basis: np.ndarray, additive: list[int]):
 
 # -- determinant image --------------------------------------------------------
 #
-# The genus is [((Z/m)^x)^k : D*{+-1}^k] for D = det(K), the subgroup of the
-# unit determinant tuples of S.  Two shortcuts settle genus 1 before the
-# scan of S, and both are exact:
+# The genus is |Q| / c for Q = ((Z/m)^x)^k / {+-1}^k, which has
+# (phi(m)/sigma(m))^k elements, and c the number of cosets of {+-1}^k that
+# D = det(K) meets.  A unit d and m - d make up its coset of {+-1}, so the
+# coset of a tuple is named by nu(d) = min(d, m - d) in each block, and
+# counted by its base-(m//2 + 1) code, never decoded.  Two shortcuts settle
+# genus 1 before the scan of S, and both are exact:
 #
 # - S is the whole ring when every Howell pivot is 1.  det maps its units,
 #   prod GL(r_i, Z/m), onto ((Z/m)^x)^k, so the index is 1.
-# - Otherwise a probe of _PROBE elements of S, taken at a fixed stride
-#   through the mixed-radix index space of the basis, gives determinants
-#   whose span D' lies in D.  The index for D' is never below the index for
-#   D, so when it is 1 the genus is 1.  Any other probe outcome says nothing
-#   about the genus, and the scan decides it.  The probe is taken only when
-#   S is well above _PROBE elements, and not when 2^k * |S| < phi(m)^k,
-#   which makes |D*{+-1}^k| <= 2^k * |K| too small for index 1.  It needs
-#   no random numbers, and so no import of numpy.random.
+# - A probe of _PROBE elements of S, at a fixed stride through the
+#   mixed-radix index space of the basis, gives cosets that span a subgroup
+#   of the image of D in Q; when that is all of Q the genus is 1, and
+#   otherwise the scan decides.  It is taken only above one chunk, whose
+#   scan costs less, and when |S| >= |Q|, as K meets at most |S| cosets.
+#   It needs no random numbers, and so no import of numpy.random.
 _PROBE = 256
 
 
-def _unit_dets(shape: _Shape, chunks, size: int) -> np.ndarray:
-    """The distinct blockwise determinant tuples of the units among the
-    rows of ``chunks``, which hold at most ``size`` rows in all.
-
-    det is multiplicative, so the tuples of the units of a subring form the
-    subgroup det(K).  When the m^k possible tuples number no more than
-    max(size, _CHUNK), each chunk marks its tuples by their base-m codes in
-    a boolean map, and no chunk is sorted; otherwise each chunk's tuples are
-    deduplicated on their own and the parts merged once at the end.
-    """
-    m, k = shape.m, len(shape.blocks)
-    if m**k <= max(size, _CHUNK):
-        place = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        seen = np.zeros(m**k, dtype=bool)
-        for rows in chunks:
-            seen[_block_dets(shape, rows) @ place] = True
-        d = np.flatnonzero(seen)[:, None] // place % m
-    else:
-        d = _distinct_rows(np.concatenate(
-            [_distinct_rows(_block_dets(shape, rows)) for rows in chunks]))
-    return d[_unit_lut(m)[d].all(axis=1)]
+def _count(m: int, k: int, dets, size: int) -> int:
+    """The number of cosets of {+-1}^k that the unit rows among the chunks
+    ``dets`` of determinant tuples meet, at most ``size`` rows in all.  The
+    base-b codes of their nu rows, b = m//2 + 1, mark a boolean map when
+    the b^k codes number at most max(size, _CHUNK); otherwise each chunk's
+    codes, or its nu rows where b^k >= 2^63 would leave int64, are
+    deduplicated on their own and merged once at the end."""
+    lut, base = _unit_lut(m), m // 2 + 1
+    nu = np.minimum(np.arange(m), np.arange(m, 0, -1))  # nu[d] = min(d, m - d)
+    chunks = (nu[d][lut[d].all(axis=1)] for d in dets)
+    if base**k < 2**63:
+        place = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        chunks = (rows @ place for rows in chunks)
+    if base**k <= max(size, _CHUNK):
+        seen = np.zeros(base**k, dtype=bool)
+        for codes in chunks:
+            seen[codes] = True
+        return int(np.count_nonzero(seen))
+    return len(_distinct_rows(np.concatenate([_distinct_rows(c) for c in chunks])))
 
 
 def _span(gens: np.ndarray, m: int) -> np.ndarray:
-    """The rows of the subgroup of ((Z/m)^x)^k generated by the rows of
-    ``gens``, which are unit tuples; needs m^k < 2^63 for the base-m codes.
+    """A unit row for each coset of {+-1}^k in the subgroup of Q generated
+    by the unit rows among ``gens``; its base-b codes need b^k < 2^63.
 
     The group is abelian, so adjoining g to a subgroup G gives the union of
     the cosets g^i*G for i < j, where j is the least power with g^j in G.
@@ -446,14 +442,19 @@ def _span(gens: np.ndarray, m: int) -> np.ndarray:
     sorted codes of T, so adjoining g takes about log2(j) extensions, and
     all of them together number at most log2 of the order of the span.
     """
-    k = gens.shape[1]
-    place = m ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    gens = gens[_unit_lut(m)[gens].all(axis=1)]
+    k, base = gens.shape[1], m // 2 + 1
+    place = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
     group = np.full((1, k), 1 % m, dtype=np.int64)
+
+    def code(rows: np.ndarray) -> np.ndarray:
+        return np.minimum(rows, m - rows) @ place
+
     # the sorted codes of the group, closed by a sentinel above every code
-    codes = np.array([group[0] @ place, m**k], dtype=np.int64)
+    codes = np.append(code(group), base**k)
 
     def outside(rows: np.ndarray) -> np.ndarray:
-        c = rows @ place
+        c = code(rows)
         return codes[codes.searchsorted(c)] != c
 
     while len(gens := gens[outside(gens)]):
@@ -461,18 +462,9 @@ def _span(gens: np.ndarray, m: int) -> np.ndarray:
         while outside(power[None])[0]:
             new = group * power % m
             group = np.concatenate((group, new[outside(new)]))
-            codes = np.sort(np.append(group @ place, m**k))
+            codes = np.sort(np.append(code(group), base**k))
             power = power * power % m
     return group
-
-
-def _index(d: np.ndarray, m: int) -> int:
-    """[((Z/m)^x)^k : D*S] = phi(m)^k * |D & S| / (|D| * |S|) for the
-    subgroup D given by its rows and the sign group S = {+-1}^k; the join
-    D*S is never built."""
-    k = d.shape[1]
-    d_in_s = int(is_sign(d, m).all(axis=1).sum())
-    return totient(m) ** k * d_in_s // (len(d) * sign_count(m) ** k)
 
 
 def _probe(basis: np.ndarray, additive: list[int], m: int) -> np.ndarray:
@@ -543,13 +535,14 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
 
     U is the unit group of the quotient of the maximal order, H the image
     of the global units, K the unit group of the subring.  H is the set of
-    tuples whose blockwise determinants lie in the sign group S = {+-1}^k,
-    so H \\ U / K = U / HK, and with D = det(K) inside ((Z/m)^x)^k
+    tuples whose blockwise determinants lie in the sign group {+-1}^k, so
+    H \\ U / K = U / HK, and with D = det(K) inside ((Z/m)^x)^k
 
-        count = [((Z/m)^x)^k : D*S] = phi(m)^k * |D & S| / (|D| * |S|)
+        count = [((Z/m)^x)^k : D*{+-1}^k] = (phi(m)/sigma(m))^k / c
 
-    where D & S is the intersection.  A whole-ring subring, or one whose
-    probe already gives index 1, returns 1 without the scan of S.
+    where sigma(m) = |{+-1}| and c is the number of cosets of {+-1}^k that
+    D meets.  A whole-ring subring, or one above one chunk whose probe
+    already meets every coset, returns 1 without the scan of S.
     ``cap`` bounds the number of subring elements and, past the whole-ring
     return, the r*2^(r-1) terms of the largest block's determinant.
     The last 64 answers are kept, keyed by (spec, cap) as passed; a
@@ -569,12 +562,12 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
             f"a {r}x{r} determinant takes {terms} terms, above the cap of {cap}",
             phase="determinant", needed=terms, cap=cap,
         )
-    if (4 * _PROBE < size < 2**63 and m**k < 2**63
-            and sign_count(m) ** k * size >= totient(m) ** k):
-        probe = _unit_dets(shape, [_probe(basis, additive, m)], _PROBE)
-        if _index(_span(probe, m), m) == 1:
+    full = (totient(m) // sign_count(m)) ** k
+    if size > _CHUNK and size >= full and (m // 2 + 1) ** k < 2**63:
+        if len(_span(_block_dets(shape, _probe(basis, additive, m)), m)) == full:
             return 1
-    return _index(_unit_dets(shape, _elements(shape, basis, additive), size), m)
+    dets = (_block_dets(shape, rows) for rows in _elements(shape, basis, additive))
+    return full // _count(m, k, dets, size)
 
 
 def genus(spec: OrderSpec, cap: int = DEFAULT_CAP) -> GenusResult:

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .cosets import FiniteGroup
+from .errors import ResourceLimitError
 
 
 def gcd(a: int, b: int) -> int:
@@ -28,33 +29,38 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def prime_powers(m: int) -> list[tuple[int, int]]:
+def prime_powers(m: int, cap: int | None = None) -> list[tuple[int, int]]:
     """The pairs (p, e) with p^e exactly dividing m, p ascending, found by
-    trial division; m == 1 has none."""
+    trial division up to ``cap``, past which phase "factorization" refuses
+    a cofactor that may be composite; m == 1 has none."""
     if m < 1:
         raise ValueError(f"prime powers are defined for m >= 1, got {m}")
-    found = []
-    rest = m
-    p = 2
-    while p * p <= rest:
+    found, rest = [], m
+    top = m if cap is None else cap
+    for p in range(2, min(math.isqrt(m), top) + 1):
+        if p * p > rest:
+            break
         if rest % p == 0:
             e = 0
             while rest % p == 0:
                 rest //= p
                 e += 1
             found.append((p, e))
-        p += 1
+    if (need := math.isqrt(rest)) > max(top, 1):  # a root of 1 needs no divisor
+        raise ResourceLimitError(f"factoring {m} needs trial divisors up to {need}, "
+                                 f"above the cap of {cap}",
+                                 phase="factorization", needed=need, cap=cap)
     if rest > 1:
         found.append((rest, 1))
     return found
 
 
-def totient(m: int) -> int:
-    """Euler totient from the prime factors of m."""
+def totient(m: int, cap: int | None = None) -> int:
+    """Euler totient from the prime factors of m, found as in prime_powers."""
     if m < 1:
         raise ValueError(f"totient is defined for m >= 1, got {m}")
     result = m
-    for p, _ in prime_powers(m):
+    for p, _ in prime_powers(m, cap):
         result -= result // p
     return result
 

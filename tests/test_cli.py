@@ -142,6 +142,28 @@ class TestErrorPaths:
         assert status == 2
         assert "3000000" in err and "2000000" in err
 
+    def test_totient_past_the_cap_fails_fast(self, capsys):
+        # the prime 2^61 - 1 would take trial divisors up to 1518500249;
+        # they stop at the cap of 2000000
+        start = time.perf_counter()
+        status, out, err = run(capsys, "totient", str(2**61 - 1), "--json")
+        assert time.perf_counter() - start < 2.0
+        assert status == 2 and "resource limit" in err
+        assert json.loads(out) == {"verb": "totient", "error": {
+            "message": "factoring 2305843009213693951 needs trial divisors up "
+                       "to 1518500249, above the cap of 2000000",
+            "phase": "factorization", "needed": 1518500249, "cap": 2000000,
+            "lowerBound": False}}
+
+    @pytest.mark.parametrize("m, phi", [
+        (99999999999999999999, 58301444908800000000),  # small prime factors
+        (10**12 + 39, 10**12 + 38),  # a prime whose root is below the cap
+        (2_000_000, 800_000),
+    ])
+    def test_totient_within_the_cap_answers(self, capsys, m, phi):
+        status, out, _ = run(capsys, "totient", str(m))
+        assert (status, out) == (0, f"{phi}\n")
+
     def test_help_exits_zero(self, capsys):
         status, out, _ = run(capsys, "--help")
         assert status == 0

@@ -352,7 +352,9 @@ class TestDistinctRows:
     def test_genus_path_does_not_import_numpy_ma(self, subprocess_env):
         # np.unique imports numpy.ma on its first call, and numpy.random
         # takes longer to import than a small genus; the genus path takes
-        # the probe of a proper subring (upper triangular 2x2 at m = 12)
+        # the probe of a proper subring above one chunk (upper triangular
+        # 2x2 at m = 36), the map of pullback_spec(12) and the sorted codes
+        # of pullback_spec(600)
         code = (
             "import sys\n"
             "import genuskit.orders as orders\n"
@@ -360,10 +362,11 @@ class TestDistinctRows:
             "from genuskit import stable_image_order\n"
             "probes, span = [], orders._span\n"
             "orders._span = lambda *a: probes.append(1) or span(*a)\n"
-            "gens = ((MatModM(12, 2, (1, 0, 0, 0)),), (MatModM(12, 2, (0, 1, 0, 0)),))\n"
-            "assert genus(OrderSpec(m=12, blocks=(2,), generators=gens)).total == 1\n"
+            "gens = ((MatModM(36, 2, (1, 0, 0, 0)),), (MatModM(36, 2, (0, 1, 0, 0)),))\n"
+            "assert genus(OrderSpec(m=36, blocks=(2,), generators=gens)).total == 1\n"
             "assert probes\n"
             "assert genus(pullback_spec(12)).total == 2\n"
+            "assert genus(pullback_spec(600)).total == 80\n"
             "assert stable_image_order(2, 5) == 240\n"
             "print('numpy.ma' in sys.modules, 'numpy.random' in sys.modules)\n"
         )

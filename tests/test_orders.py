@@ -3,7 +3,7 @@ import random
 import time
 import tracemalloc
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -999,13 +999,23 @@ def spy(monkeypatch, name):
     return calls
 
 
-def scan_route(spec):
-    """genus_relative with neither shortcut: the streamed scan of all of S."""
-    shape = matrices._shape(spec.m, spec.blocks)
-    rows = [orders._mats_to_row(t) for t in spec.generators]
-    basis, additive = orders._closure(shape, rows, matrices.DEFAULT_CAP)
-    chunks = orders._elements(shape, basis, additive)
-    return orders._index(orders._unit_dets(shape, chunks, prod(additive)), spec.m)
+def brute_cosets(spec):
+    """The cosets of {+-1}^k that det(K) meets, each as a tuple of the sets
+    {d, -d} mod m, from det on Python ints over every element of
+    subring_closure; nothing of the genus route past the closure."""
+    m = spec.m
+    met = set()
+    for tup in subring_closure(spec, cap=10**6):
+        d = [det(x).value for x in tup]
+        if all(gcd(x, m) == 1 for x in d):
+            met.add(tuple(frozenset({x, -x % m}) for x in d))
+    return met
+
+
+def brute_genus(spec):
+    """[((Z/m)^x)^k : det(K)*{+-1}^k], read as |Q| over the cosets met."""
+    k = len(spec.blocks)
+    return (totient(spec.m) // sign_count(spec.m)) ** k // len(brute_cosets(spec))
 
 
 def subring_size(spec):
@@ -1024,6 +1034,11 @@ WHOLE_RINGS = [
 TRIANGULAR = [
     units_spec(12, (2,), [(0, 0, 0), (0, 0, 1)]),
     units_spec(5, (2, 2), [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]),
+]
+# the same cells above one chunk: 36^3 and 9^5 elements
+BIG_TRIANGULAR = [
+    units_spec(36, (2,), [(0, 0, 0), (0, 0, 1)]),
+    units_spec(9, (2, 2), [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]),
 ]
 
 
@@ -1056,19 +1071,27 @@ class TestShortcuts:
         assert subring_size(spec) == spec.m**width
         assert whole[0] and products and not any(products)
 
-    @pytest.mark.parametrize("spec", TRIANGULAR, ids=["2@12", "2,2@5"])
+    @pytest.mark.parametrize("spec", BIG_TRIANGULAR, ids=["2@36", "2,2@9"])
     def test_probe_settles_a_proper_subring(self, monkeypatch, spec):
         size = subring_size(spec)
-        assert 4 * orders._PROBE < size < spec.m ** sum(r * r for r in spec.blocks)
-        assert scan_route(spec) == 1
+        assert orders._CHUNK < size < spec.m ** sum(r * r for r in spec.blocks)
         forbid(monkeypatch, "_elements")
         assert genus(spec).total == 1
 
+    @pytest.mark.parametrize("spec", TRIANGULAR, ids=["2@12", "2,2@5"])
+    def test_one_chunk_subring_takes_no_probe(self, monkeypatch, spec):
+        # 1,728 and 3,125 elements: one chunk, whose scan costs less than a
+        # probe, and the brute force agrees on genus 1
+        assert subring_size(spec) <= orders._CHUNK
+        assert brute_genus(spec) == 1
+        forbid(monkeypatch, "_probe", "_span")
+        assert genus(spec).total == 1
+
     def test_genus_above_one_takes_the_full_scan(self, monkeypatch):
-        # 7^4 = 2401 elements, above the probe size; genus phi(7)/2 = 3
+        # 15^4 = 50625 elements, above one chunk; genus phi(15)/2 = 4
         spans = spy(monkeypatch, "_span")
         scans = spy(monkeypatch, "_elements")
-        assert genus(matrix_pullback_spec(7, 2)).total == 3
+        assert genus(matrix_pullback_spec(15, 2)).total == 4
         assert len(spans) == len(scans) == 1
 
     def test_small_pullback_takes_no_products_and_no_combinations(self, monkeypatch):
@@ -1080,9 +1103,10 @@ class TestShortcuts:
             assert genus(pullback_spec(m)).total == genus_pullback_formula(m), m
 
     def test_probe_skipped_when_index_one_is_impossible(self, monkeypatch):
-        # |S| = 10007 scalars but 4 * |S| < phi(10007)^2, so genus > 1
-        forbid(monkeypatch, "_span")
-        assert genus(pullback_spec(10007)).total == genus_pullback_formula(10007)
+        # |S| = 40009 scalars, above one chunk, but below the 20004^2
+        # cosets of {+-1}^2, so K cannot meet them all and genus > 1
+        forbid(monkeypatch, "_probe", "_span")
+        assert genus(pullback_spec(40009)).total == genus_pullback_formula(40009)
 
     @pytest.mark.parametrize("spec", [WHOLE_RINGS[0], TRIANGULAR[0]],
                              ids=["whole", "triangular"])
@@ -1093,13 +1117,16 @@ class TestShortcuts:
             genus(spec, cap=size - 1)
         assert info.value.needed == size
 
-    def test_shortcuts_match_the_scan(self):
-        # a diagonal copy repeats one generator in every block, which
-        # gives genus > 1 on subrings above the probe size
+    def test_shortcuts_match_the_scan(self, monkeypatch):
+        # a diagonal copy repeats one generator in every block, which gives
+        # genus > 1; with 64-row chunks the probe runs on subrings small
+        # enough for the brute force
+        monkeypatch.setattr(orders, "_CHUNK", 64)
+        spans = spy(monkeypatch, "_span")
         rng = random.Random(2024)
         shapes = [((2,), (8, 9, 10, 12)), ((1, 2), (5, 6, 7)),
                   ((1, 1, 1), (12, 24, 30)), ((2, 2), (3, 4, 5, 6, 7, 8)),
-                  ((3,), (3,)), ((1, 1, 1, 1), (6, 10))]
+                  ((3,), (3,)), ((1, 1, 1, 1), (6, 10)), ((1, 1), (10, 12, 30))]
         seen = {"whole": 0, "probed, one": 0, "probed, above one": 0}
         for _ in range(300):
             blocks, levels = rng.choice(shapes)
@@ -1113,19 +1140,23 @@ class TestShortcuts:
             else:
                 spec = random_spec(rng, m, blocks, n_gens=rng.randint(1, 3))
             size = subring_size(spec)
-            if size > 200_000:
+            if size > 2_000:
                 continue
-            got = genus_relative(spec)
-            assert got == scan_route(spec), spec
-            whole = size == m ** sum(r * r for r in blocks)
-            probed = 4 * orders._PROBE < size and not whole
-            seen["whole"] += whole
-            seen["probed, one"] += probed and got == 1
-            seen["probed, above one"] += probed and got > 1
+            spans.clear()
+            got = genus_relative.__wrapped__(spec)
+            assert got == brute_genus(spec), spec
+            seen["whole"] += size == m ** sum(r * r for r in blocks)
+            seen["probed, one"] += bool(spans) and got == 1
+            seen["probed, above one"] += bool(spans) and got > 1
         assert min(seen.values()) >= 3, seen
 
     @pytest.mark.parametrize("m, k", [(8, 3), (12, 2), (15, 2), (30, 3), (7, 1)])
     def test_span_matches_breadth_first_closure(self, m, k):
+        # the span in ((Z/m)^x)^k / {+-1}^k of unit tuples, against a
+        # breadth-first closure of the tuples of sets {d, -d}
+        def coset(t):
+            return tuple(frozenset({x, -x % m}) for x in t)
+
         rng = random.Random(m * k)
         unit = [u for u in range(m) if np.gcd(u, m) == 1]
         for _ in range(5):
@@ -1141,27 +1172,104 @@ class TestShortcuts:
                     if y not in group
                 ]
                 group.update(frontier)
-            assert len(rows) == len(group) and set(map(tuple, rows)) == group
+            assert len(rows) == len(set(map(coset, rows)))
+            assert set(map(coset, rows)) == set(map(coset, group))
 
     def test_both_determinant_paths_agree(self, monkeypatch):
-        # a boolean map over the m^k codes, or per-chunk dedupe and a merge,
-        # over chunks of at most 7 rows, so that no chunk has every tuple
+        # a boolean map over the b^k codes, or per-chunk dedupe and a merge,
+        # over chunks of at most 4 rows, so that no chunk meets every coset
         rng = random.Random(17)
-        monkeypatch.setattr(orders, "_CHUNK", 7)
-        for blocks, m in [((1, 1), 10), ((2,), 12), ((1, 1, 1), 6), ((1, 2), 4)]:
+        monkeypatch.setattr(orders, "_CHUNK", 4)
+        merges = spy(monkeypatch, "_distinct_rows")
+        for blocks, m in [((1, 1), 10), ((2,), 12), ((1, 1, 1), 6), ((1, 2), 4),
+                          ((1, 1), 9), ((1, 1, 1, 1), 15)]:
             spec = random_spec(rng, m, blocks, n_gens=2)
             shape = matrices._shape(m, blocks)
             rows = [orders._mats_to_row(t) for t in spec.generators]
             basis, additive = orders._closure(shape, rows, 10**6)
-            chunks = [c.copy() for c in orders._elements(shape, basis, additive)]
-            assert len(chunks) > 1
-            units = subring_units(subring_closure(spec), m, blocks)
-            expected = {tuple(det(x).value for x in t) for t in units.carrier}
-            k = len(blocks)
-            by_map = orders._unit_dets(shape, chunks, m**k)
-            by_merge = orders._unit_dets(shape, chunks, m**k // 8 - 1)
-            for d in (by_map, by_merge):
-                assert len(d) == len(expected) and set(map(tuple, d.tolist())) == expected
+            dets = [matrices._block_dets(shape, c)
+                    for c in orders._elements(shape, basis, additive)]
+            assert len(dets) > 1
+            k, base = len(blocks), m // 2 + 1
+            counts = []
+            for size in (base**k, base**k - 1):
+                merges.clear()
+                counts.append(orders._count(m, k, dets, size))
+                assert bool(merges) == (size < base**k)
+            assert counts == [len(brute_cosets(spec))] * 2, spec
+
+
+# the container of the coset count at each shape of the matrix-orders and
+# big-ambient benchmark workloads: True for sorted codes, False for the map
+BENCH_CONTAINERS = [
+    *(((2,), m, False) for m in (5, 7, 8, 9, 10, 12, 13, 16, 20, 24)),
+    *(((1, 2), m, False) for m in (5, 7, 8, 9)),
+    *(((1, 1, 1), m, False) for m in (8, 12, 24, 30)),
+    ((3,), 3, False),
+    ((1, 1, 1), 100, True),  # 51^3 codes
+    ((1, 1), 600, True),  # 301^2 codes
+]
+
+
+class TestCosetCount:
+    def test_route_matches_brute_force_sweep(self, monkeypatch):
+        # 1,000 seeded specs at composite m <= 60 and m = 1, 2, each small
+        # enough for the brute force; chunks of 8, 64 and the default
+        # rows take both containers, the probe, and scans without it
+        rng = random.Random(1701)
+        levels = [1, 2] + [m for m in range(4, 61)
+                           if any(m % p == 0 for p in range(2, m))]
+        shapes = [(1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 2), (1, 1, 1),
+                  (1, 1, 1, 1)]
+        spans, merges = spy(monkeypatch, "_span"), spy(monkeypatch, "_distinct_rows")
+        counts = spy(monkeypatch, "_count")
+        seen = {"map": 0, "sorted": 0, "probe settles": 0, "probe fails": 0}
+        checked = 0
+        while checked < 1000:
+            spec = random_spec(rng, rng.choice(levels), rng.choice(shapes),
+                               n_gens=rng.randint(0, 2))
+            if subring_size(spec) > 400:
+                continue
+            monkeypatch.setattr(orders, "_CHUNK", (8, 64, 1 << 15)[checked % 3])
+            for calls in (spans, merges, counts):
+                calls.clear()
+            got = genus_relative.__wrapped__(spec)
+            assert got == brute_genus(spec), spec
+            seen["map"] += bool(counts) and not merges
+            seen["sorted"] += bool(merges)
+            seen["probe settles"] += bool(spans) and not counts
+            seen["probe fails"] += bool(spans) and bool(counts)
+            checked += 1
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("m, k, total", [
+        (7, 3, 9), (12, 4, 8), (100_003, 4, 50_001**3),
+        (120_011, 4, 216_054_004_500_125),
+    ])
+    def test_scalar_blocks_closed_form(self, monkeypatch, m, k, total):
+        # the scalars of k 1x1 blocks: det(K) is the diagonal of
+        # ((Z/m)^x)^k, which meets phi/sigma cosets, so the genus is
+        # (phi/sigma)^(k-1); at m = 120,011 the b^4 codes pass 2^63 and the
+        # rows themselves are merged
+        merges = spy(monkeypatch, "_distinct_rows")
+        spec = OrderSpec(m=m, blocks=(1,) * k, generators=())
+        assert genus(spec).total == total == (totient(m) // sign_count(m)) ** (k - 1)
+        wide = (m // 2 + 1) ** k >= 2**63
+        assert wide == (m == 120_011)
+        assert wide == any(a[0].ndim == 2 for a in merges)
+
+    @pytest.mark.parametrize("blocks, m, sorted_codes", BENCH_CONTAINERS,
+                             ids=[f"{b}@{m}" for b, m, _ in BENCH_CONTAINERS])
+    def test_bench_shapes_take_their_container(self, monkeypatch, blocks, m,
+                                               sorted_codes):
+        # the scalars of each benchmark shape, scanned in one chunk: the
+        # matrix-orders shapes and most big-ambient ones mark a map, and
+        # big-ambient's (1,1,1)@100 and (1,1)@600 sort their codes
+        merges = spy(monkeypatch, "_distinct_rows")
+        counts = spy(monkeypatch, "_count")
+        spec = OrderSpec(m=m, blocks=blocks, generators=())
+        assert genus(spec).total == brute_genus(spec)
+        assert len(counts) == 1 and bool(merges) == sorted_codes
 
 
 class TestResourceLimitFields:
@@ -1224,7 +1332,7 @@ class TestResourceLimitFields:
 
     def test_huge_block_fails_fast(self, monkeypatch):
         # the refusal comes before any determinant is planned or taken
-        forbid(monkeypatch, "_unit_dets")
+        forbid(monkeypatch, "_count")
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError) as info:
             genus(OrderSpec(m=3, blocks=(40,), generators=()))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genuskit.errors import ResourceLimitError
 from genuskit.rings import (
     Residue,
     ext_gcd,
@@ -89,6 +90,22 @@ class TestPrimePowers:
     def test_rejects_nonpositive(self, m):
         with pytest.raises(ValueError):
             prime_powers(m)
+
+    def test_cap_bounds_the_trial_divisors(self):
+        # every m <= cap factors, as its trial divisors stay below sqrt(m)
+        for cap in (1, 2, 10, 97):
+            for m in range(1, cap + 1):
+                assert prime_powers(m, cap) == prime_powers(m)
+        # 1, 2 and 3 take no trial divisor at all, whatever the cap
+        assert [prime_powers(m, 0) for m in (1, 2, 3)] == [[], [(2, 1)], [(3, 1)]]
+        assert prime_powers(2**40 * 3**5, 3) == [(2, 40), (3, 5)]
+        assert prime_powers(101 * 103, 101) == [(101, 1), (103, 1)]
+        with pytest.raises(ResourceLimitError) as info:
+            totient(101 * 103, 100)
+        e = info.value
+        assert (e.phase, e.needed, e.cap, e.lower_bound) == (
+            "factorization", 101, 100, False)
+        assert str(e) == "factoring 10403 needs trial divisors up to 101, above the cap of 100"
 
 
 class TestGcd:
