@@ -1,9 +1,9 @@
 """Square matrices over Z/m: products, determinants, GL(r, Z/m) and the
 subgroup generated by elementary matrices (the mod-m image of the global
-unit group of the integer matrix ring), plus the int64 row kernel that the
-enumerations and :mod:`genuskit.orders` share.  Determinants of every size
-take one division-free Laplace expansion, on Python ints in ``det`` and on
-int64 columns in the row kernel.
+unit group of the integer matrix ring), plus the int64 row kernel, whose one
+enumerator and one table of units per level serve GL and the subrings of
+:mod:`genuskit.orders`.  Determinants of every size take one division-free
+Laplace expansion, on Python ints in ``det`` and on int64 columns.
 """
 
 from __future__ import annotations
@@ -200,10 +200,15 @@ def _shape(m: int, blocks: tuple[int, ...]) -> _Shape:
     return _Shape(m=m, blocks=blocks, offsets=offsets, width=sum(sizes))
 
 
-@lru_cache(maxsize=64)
-def _unit_lut(m: int) -> np.ndarray:
-    """Entry v is True when v is a unit mod m."""
-    return np.gcd(np.arange(m, dtype=np.int64), m) == 1
+@lru_cache(maxsize=16)
+def _coset_lut(m: int) -> np.ndarray:
+    """nu(d) = min(d, m - d), naming the coset {d, -d} of {+-1}, at a unit d
+    and -1 at the multiples of the primes of m; 16 int32 tables cost 64*m bytes."""
+    lut = np.arange(m, dtype=np.int32 if m < 2**31 else np.int64)
+    lut[m // 2 + 1 :] = lut[(m - 1) // 2 : 0 : -1]
+    for p, _ in prime_powers(m):
+        lut[::p] = -1
+    return lut
 
 
 def _mul_rows(shape: _Shape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,27 +251,67 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
-def _decode(codes: np.ndarray, r: int, m: int) -> np.ndarray:
-    """Rows of the r x r matrices whose base-m codes are given: a code reads
-    the row as r^2 digits, the first entry most significant."""
-    place = m ** np.arange(r * r - 1, -1, -1, dtype=np.int64)
-    rows = codes[:, None] // place
-    return np.remainder(rows, m, out=rows)  # no second temporary
+def _combinations(basis: np.ndarray, additive: list[int], index: np.ndarray,
+                  m: int) -> np.ndarray:
+    """The rows sum_j c_j * basis[j] mod m for flat indices into the product
+    of the ranges 0 <= c_j < additive[j], read as mixed-radix numbers whose
+    last digit varies fastest; over the standard basis with radices m, the
+    rows of the matrices with those base-m codes.  A sum has one term below
+    (m-1)^2 per row, exact in int64 while len(basis)*(m-1)^2 < 2^63."""
+    radices = np.array(additive, dtype=np.int64)
+    place = np.array([prod(additive[j + 1 :]) for j in range(len(additive))],
+                     dtype=np.int64)
+    return index[:, None] // place % radices @ basis % m
+
+
+def _elements(shape: _Shape, basis: np.ndarray, additive: list[int]):
+    """The elements sum c_j * basis[j] mod m, 0 <= c_j < additive[j], each
+    once, in chunks of at most _CHUNK rows and in mixed-radix order: element
+    i is _combinations at index i, the first row varying slowest.
+
+    The last rows are tabulated once, unreduced: an entry sums one multiple
+    below m per row.  Each chunk adds the table to the _combinations of the
+    leading rows; a span of at most _CHUNK elements has no leading rows and
+    is its table, reduced mod m, in one chunk.  The work runs on transposed
+    (width, n) arrays, so that numpy's inner loops run along the elements
+    rather than along a short row, and a chunk is handed out as the
+    transposed view, whose columns are contiguous.  Past one chunk every
+    chunk is a view of one buffer, which the next chunk overwrites: fresh
+    memory for each chunk cost more in page faults than the additions that
+    fill it.
+    """
+    m, width = shape.m, shape.width
+    split, low = len(basis), 1
+    while split and low * additive[split - 1] <= _CHUNK:
+        split -= 1
+        low *= additive[split]
+    table = np.zeros((width, 1), dtype=np.int64)
+    for row, n in zip(basis[split:], additive[split:]):
+        mults = row[:, None] * np.arange(n, dtype=np.int64) % m
+        table = (table[:, :, None] + mults[:, None]).reshape(width, -1)
+    if not split:
+        yield np.remainder(table, m, out=table).T
+        return
+    total, step = prod(additive[:split]), max(1, _CHUNK // low)
+    buffer = np.empty((width, min(step, total), low), dtype=np.int64)
+    for lo in range(0, total, step):
+        index = np.arange(lo, min(lo + step, total), dtype=np.int64)
+        offsets = _combinations(basis[:split], additive[:split], index, m).T
+        chunk = buffer[:, : len(index)]
+        np.add(offsets[:, :, None], table[:, None], out=chunk)
+        yield np.remainder(chunk, m, out=chunk).reshape(width, -1).T
 
 
 def _gl_flat(r: int, m: int, lut: np.ndarray | None = None) -> np.ndarray:
     """Ascending codes of the r x r matrices mod m whose determinant d has
-    lut[d] True, found by a filter over slabs of all m^(r^2) codes.  The
-    default lut, the units mod m, gives GL(r, Z/m); criterion 4 passes the
-    signs +-1."""
+    lut[d] True, filtered from the _elements of the standard basis, whose
+    element i has base-m code i.  The default lut, the units mod m, gives
+    GL(r, Z/m); criterion 4 passes the signs +-1."""
     shape = _shape(m, (r,))
-    lut = _unit_lut(m) if lut is None else lut
-    total = m ** (r * r)
-    kept = []
-    for lo in range(0, total, _CHUNK):
-        codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        kept.append(codes[lut[_block_dets(shape, _decode(codes, r, m))[:, 0]]])
-    return np.concatenate(kept)
+    lut = _coset_lut(m) >= 0 if lut is None else lut
+    chunks = _elements(shape, np.eye(r * r, dtype=np.int64), [m] * (r * r))
+    return np.flatnonzero(np.concatenate([lut[_block_dets(shape, rows)[:, 0]]
+                                          for rows in chunks]))
 
 
 def _row_table(gens: list[MatModM]) -> np.ndarray:
@@ -320,7 +365,8 @@ def _stable_flat(r: int, m: int) -> np.ndarray:
 
 def _group(codes: np.ndarray, r: int, m: int, name: str) -> FiniteGroup:
     """The group of the matrices with these codes, decoded a chunk at a time."""
-    chunks = (_decode(codes[lo : lo + _CHUNK], r, m).tolist()
+    eye, radices = np.eye(r * r, dtype=np.int64), [m] * (r * r)
+    chunks = (_combinations(eye, radices, codes[lo : lo + _CHUNK], m).tolist()
               for lo in range(0, len(codes), _CHUNK))
     carrier = frozenset(MatModM(m, r, row) for rows in chunks for row in rows)
     return FiniteGroup(carrier, mat_mul, MatModM.identity(r, m), name=name)

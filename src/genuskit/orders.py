@@ -22,8 +22,8 @@ det(K) meets.  The subring S is held as a Howell basis over Z/m, so |S| is
 exact before any element exists, and that size is the only size limit.  A
 whole ring, and a subring above one chunk whose probe already meets every
 coset, have genus 1 without a scan of S; otherwise c is counted over a
-streamed scan of S, a chunk of int64 rows of the row kernel in
-:mod:`genuskit.matrices` at a time, which never holds all of S.  The
+streamed scan of S, a chunk of int64 rows of the row kernel's enumerator
+in :mod:`genuskit.matrices` at a time, which never holds all of S.  The
 generic engine in :mod:`genuskit.cosets` is the test oracle for this route.
 
 genus_relative keeps its last 64 answers, keyed by the frozen OrderSpec and
@@ -42,10 +42,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import matrices
 from .cosets import FiniteGroup
 from .errors import InternalInconsistencyError, ResourceLimitError
-from .matrices import (_CHUNK, DEFAULT_CAP, MatModM, _block_dets, _distinct_rows,
-                       _mul_rows, _Shape, _shape, _unit_lut, det, mat_mul)
+from .matrices import (DEFAULT_CAP, MatModM, _block_dets, _distinct_rows, _elements,
+                       _mul_rows, _Shape, _shape, det, mat_mul)
 from .rings import ext_gcd, sign_count, totient
 
 
@@ -247,12 +248,13 @@ def _mats_to_row(tup) -> tuple[int, ...]:
 # breadth-first over words: it inserts the identity and then the generators
 # themselves, the words 1*g, which make the first level without a product;
 # from there each level multiplies the words that grew the span on the right
-# by every generator, in one numpy call, and inserts the products; those
-# that grew the span make the next level.  This is exact.  Every word that
-# did not grow the span lies in the span of words that did, and each of
-# those has all its products with a generator g inserted, so by linearity
-# the final span T has T*g inside T.  Every insertion that grows the span at least doubles
-# it, so at most log2|S| words grow it, and at most as many levels run.
+# by every generator, in batches of at most _CHUNK product entries, and
+# inserts the products; those that grew the span make the next level.  This
+# is exact.  Every word that did not grow the span lies in the span of words
+# that did, and each of those has all its products with a generator g
+# inserted, so by linearity the final span T has T*g inside T.  Every
+# insertion that grows the span at least doubles it, so at most log2|S|
+# words grow it, and at most as many levels run.
 # Once every pivot is 1 the span is the whole ring, which holds every
 # product, so the pass stops there.
 
@@ -300,9 +302,9 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
     The span is built from the words in gen_rows, breadth-first: the first
     level is the generators, inserted after the identity, and each later
     level multiplies the words that grew the span by every generator on the
-    right in one _mul_rows call; the products that grow it make the next
-    level.  ``cap`` bounds |S| = prod m/d_j, checked before any element is
-    made.
+    right, in _mul_rows calls of at most _CHUNK product entries or of one
+    word; the products that grow it make the next level.  ``cap`` bounds
+    |S| = prod m/d_j, checked before any element is made.
     """
     m, width = shape.m, shape.width
     # the m multiples of the identity are distinct and lie in every subring
@@ -319,9 +321,11 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
     _insert(basis, m, identity)
     frontier = [g for g in gens.tolist() if _insert(basis, m, g)]
     while frontier and (len(basis) < width or any(d > 1 for _, d in basis.values())):
-        words = _mul_rows(shape, np.array(frontier, dtype=np.int64)[:, None], gens)
-        frontier = [w for w in words.reshape(-1, width).tolist()
-                    if _insert(basis, m, w)]
+        level, frontier = np.array(frontier, dtype=np.int64)[:, None], []
+        step = max(1, matrices._CHUNK // (len(gens) * width))
+        for lo in range(0, len(level), step):
+            words = _mul_rows(shape, level[lo : lo + step], gens).reshape(-1, width)
+            frontier += [w for w in words.tolist() if _insert(basis, m, w)]
     size = prod(m // d for _, d in basis.values())
     if size > cap:
         raise ResourceLimitError(
@@ -339,64 +343,14 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
     return rows, [m // basis[j][1] for j in cols]
 
 
-def _combinations(basis: np.ndarray, additive: list[int], index: np.ndarray,
-                  m: int) -> np.ndarray:
-    """The rows sum_j c_j * basis[j] mod m for flat indices into the product
-    of the ranges 0 <= c_j < additive[j], read as mixed-radix numbers whose
-    last digit varies fastest.  A sum has one term below (m-1)^2 per row,
-    exact in int64 while len(basis)*(m-1)^2 < 2^63, which _closure checks.
-    """
-    radices = np.array(additive, dtype=np.int64)
-    place = np.array([prod(additive[j + 1 :]) for j in range(len(additive))],
-                     dtype=np.int64)
-    return index[:, None] // place % radices @ basis % m
-
-
-def _elements(shape: _Shape, basis: np.ndarray, additive: list[int]):
-    """The elements sum c_j * basis[j] mod m, 0 <= c_j < additive[j], of the
-    subring, each once, in chunks of at most _CHUNK rows.
-
-    The last rows vary fastest and are tabulated once, unreduced: an entry
-    sums one multiple below m per row.  Each chunk adds the table to the
-    _combinations of the leading rows; a subring of at most _CHUNK
-    elements has no leading rows and is its table, reduced mod m, in one
-    chunk.  The work runs on transposed (width, n) arrays, so that numpy's
-    inner loops run along the elements rather than along a short row, and
-    a chunk is handed out as the transposed view, whose columns are
-    contiguous.  Past one chunk every chunk is a view of one buffer, which
-    the next chunk overwrites: fresh memory for each chunk cost more in
-    page faults than the additions that fill it.
-    """
-    m, width = shape.m, shape.width
-    split, low = len(basis), 1
-    while split and low * additive[split - 1] <= _CHUNK:
-        split -= 1
-        low *= additive[split]
-    table = np.zeros((width, 1), dtype=np.int64)
-    for row, n in zip(basis[split:], additive[split:]):
-        mults = row[:, None] * np.arange(n, dtype=np.int64) % m
-        table = (mults[:, :, None] + table[:, None]).reshape(width, -1)
-    if not split:
-        yield np.remainder(table, m, out=table).T
-        return
-    total, step = prod(additive[:split]), max(1, _CHUNK // low)
-    buffer = np.empty((width, min(step, total), low), dtype=np.int64)
-    for lo in range(0, total, step):
-        index = np.arange(lo, min(lo + step, total), dtype=np.int64)
-        offsets = _combinations(basis[:split], additive[:split], index, m).T
-        chunk = buffer[:, : len(index)]
-        np.add(offsets[:, :, None], table[:, None], out=chunk)
-        yield np.remainder(chunk, m, out=chunk).reshape(width, -1).T
-
-
 # -- determinant image --------------------------------------------------------
 #
 # The genus is |Q| / c for Q = ((Z/m)^x)^k / {+-1}^k, which has
 # (phi(m)/sigma(m))^k elements, and c the number of cosets of {+-1}^k that
 # D = det(K) meets.  A unit d and m - d make up its coset of {+-1}, so the
-# coset of a tuple is named by nu(d) = min(d, m - d) in each block, and
-# counted by its base-(m//2 + 1) code, never decoded.  Two shortcuts settle
-# genus 1 before the scan of S, and both are exact:
+# coset of a tuple is named by the table _coset_lut of nu(d) = min(d, m - d)
+# in each block, and counted by its base-(m//2 + 1) code, never decoded.
+# Two shortcuts settle genus 1 before the scan of S, and both are exact:
 #
 # - S is the whole ring when every Howell pivot is 1.  det maps its units,
 #   prod GL(r_i, Z/m), onto ((Z/m)^x)^k, so the index is 1.
@@ -416,13 +370,12 @@ def _count(m: int, k: int, dets, size: int) -> int:
     the b^k codes number at most max(size, _CHUNK); otherwise each chunk's
     codes, or its nu rows where b^k >= 2^63 would leave int64, are
     deduplicated on their own and merged once at the end."""
-    lut, base = _unit_lut(m), m // 2 + 1
-    nu = np.minimum(np.arange(m), np.arange(m, 0, -1))  # nu[d] = min(d, m - d)
-    chunks = (nu[d][lut[d].all(axis=1)] for d in dets)
+    lut, base = matrices._coset_lut(m), m // 2 + 1
+    chunks = (nu[nu.min(axis=1) >= 0] for nu in (lut[d] for d in dets))
     if base**k < 2**63:
         place = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
         chunks = (rows @ place for rows in chunks)
-    if base**k <= max(size, _CHUNK):
+    if base**k <= max(size, matrices._CHUNK):
         seen = np.zeros(base**k, dtype=bool)
         for codes in chunks:
             seen[codes] = True
@@ -442,13 +395,14 @@ def _span(gens: np.ndarray, m: int) -> np.ndarray:
     sorted codes of T, so adjoining g takes about log2(j) extensions, and
     all of them together number at most log2 of the order of the span.
     """
-    gens = gens[_unit_lut(m)[gens].all(axis=1)]
+    lut = matrices._coset_lut(m)
+    gens = gens[lut[gens].min(axis=1) >= 0]
     k, base = gens.shape[1], m // 2 + 1
     place = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
     group = np.full((1, k), 1 % m, dtype=np.int64)
 
     def code(rows: np.ndarray) -> np.ndarray:
-        return np.minimum(rows, m - rows) @ place
+        return lut[rows] @ place
 
     # the sorted codes of the group, closed by a sentinel above every code
     codes = np.append(code(group), base**k)
@@ -477,7 +431,7 @@ def _probe(basis: np.ndarray, additive: list[int], m: int) -> np.ndarray:
     while gcd(stride, size) != 1:
         stride += 1
     index = np.array([i * stride % size for i in range(_PROBE)], dtype=np.int64)
-    return _combinations(basis, additive, index, m)
+    return matrices._combinations(basis, additive, index, m)
 
 
 # -- public operations -------------------------------------------------------
@@ -563,7 +517,7 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
             phase="determinant", needed=terms, cap=cap,
         )
     full = (totient(m) // sign_count(m)) ** k
-    if size > _CHUNK and size >= full and (m // 2 + 1) ** k < 2**63:
+    if size > matrices._CHUNK and size >= full and (m // 2 + 1) ** k < 2**63:
         if len(_span(_block_dets(shape, _probe(basis, additive, m)), m)) == full:
             return 1
     dets = (_block_dets(shape, rows) for rows in _elements(shape, basis, additive))

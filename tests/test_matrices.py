@@ -23,7 +23,7 @@ from genuskit.matrices import (
     stable_image,
     stable_image_order,
 )
-from genuskit.rings import Residue, totient
+from genuskit.rings import Residue, is_sign, totient
 
 
 def leibniz_det(mat: MatModM) -> int:
@@ -314,6 +314,46 @@ class TestRowKernel:
             a for a in gl if leibniz_det(a) in signs
         }
 
+    @pytest.mark.parametrize("m, additive", [
+        (12, [2, 3, 4, 6]), (3, [3] * 4), (10, [5, 10, 2]), (7, [1, 7, 1])])
+    def test_elements_run_in_mixed_radix_order(self, monkeypatch, m, additive):
+        # element i of the enumeration is the combination at index i, in one
+        # chunk, split into several, and in chunks of 7 rows
+        rng = np.random.default_rng(m)
+        basis = rng.integers(0, m, size=(len(additive), 4), dtype=np.int64)
+        shape = matrices._shape(m, (2,))
+        size = math.prod(additive)
+        want = matrices._combinations(basis, additive, np.arange(size), m).tolist()
+        for chunk in (7, size - 1, matrices._CHUNK):
+            monkeypatch.setattr(matrices, "_CHUNK", chunk)
+            # each chunk is overwritten by the next, so keep copies
+            chunks = [c.tolist() for c in matrices._elements(shape, basis, additive)]
+            assert (len(chunks) > 1) == (chunk < size), chunk
+            assert [row for c in chunks for row in c] == want, chunk
+
+    def test_coset_lut_names_the_sign_cosets_of_units(self):
+        for m in [*range(1, 401), 510_510, 999_999, 1_000_003]:
+            d = np.arange(m)
+            want = np.where(np.gcd(d, m) == 1, np.minimum(d, m - d), -1)
+            assert np.array_equal(matrices._coset_lut(m), want), m
+
+    @pytest.mark.parametrize(
+        "r, m", [(1, m) for m in range(1, 13)] + [(2, m) for m in range(1, 8)]
+        + [(3, 2), (3, 3)]
+    )
+    def test_gl_flat_matches_a_det_filter(self, monkeypatch, r, m):
+        # the codes of every matrix, first entry most significant, filtered
+        # by a Leibniz determinant on Python ints
+        dets = [leibniz_det(MatModM(m, r, t))
+                for t in itertools.product(range(m), repeat=r * r)]
+        masks = [(matrices._coset_lut(m) >= 0, lambda d: math.gcd(d, m) == 1),
+                 (is_sign(np.arange(m), m), lambda d: d in {1 % m, -1 % m})]
+        for chunk in (7, matrices._CHUNK):
+            monkeypatch.setattr(matrices, "_CHUNK", chunk)
+            for lut, keep in masks:
+                want = [code for code, d in enumerate(dets) if keep(d)]
+                assert matrices._gl_flat(r, m, lut).tolist() == want, chunk
+
 
 class TestDistinctRows:
     @staticmethod
@@ -440,8 +480,8 @@ class TestClosedFormAndRowTables:
         def fail(*args):
             raise AssertionError("a matrix was decoded or multiplied")
 
-        monkeypatch.setattr(matrices, "_mul_rows", fail)
-        monkeypatch.setattr(matrices, "_decode", fail)
+        for name in ("_mul_rows", "_combinations", "_elements"):
+            monkeypatch.setattr(matrices, name, fail)
         # orders from the parametrized carrier and brute-scan tests above
         for r, m, order in [(1, 1, 1), (1, 7, 2), (2, 1, 1), (2, 5, 240),
                             (2, 16, 6144), (3, 3, 11232), (4, 2, 20160)]:

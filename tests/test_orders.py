@@ -165,7 +165,7 @@ class TestSubringClosure:
         assert sorted(additive) == [6, 12]
         # each chunk is overwritten by the next, so keep copies
         rows = np.concatenate(
-            [c.copy() for c in orders._elements(shape, basis, additive)]
+            [c.copy() for c in matrices._elements(shape, basis, additive)]
         )
         assert len(rows) == len(np.unique(rows, axis=0)) == 12 * 6
         assert len(subring_closure(spec)) == 12 * 6
@@ -265,7 +265,7 @@ class TestSubringClosure:
             shape = matrices._shape(m, (1,) * width)
             got = {
                 tuple(row)
-                for c in orders._elements(shape, basis, [m // howell[j][1] for j in kept])
+                for c in matrices._elements(shape, basis, [m // howell[j][1] for j in kept])
                 for row in c.tolist()
             }
             assert got == span, (m, vectors)
@@ -273,7 +273,7 @@ class TestSubringClosure:
     def test_chunked_enumeration_matches_fixpoint(self, monkeypatch):
         # with 7-row chunks these subrings take several leading digits, a
         # partial last chunk (9 * 3 elements in chunks of 6) or both
-        monkeypatch.setattr(orders, "_CHUNK", 7)
+        monkeypatch.setattr(matrices, "_CHUNK", 7)
         for spec in (
             spec_3x1(6, [(0, 2, 0), (0, 3, 1)]),
             spec_1x1(9, [(3, 0)]),
@@ -284,17 +284,18 @@ class TestSubringClosure:
             rows = [orders._mats_to_row(t) for t in spec.generators]
             basis, additive = orders._closure(shape, rows, cap=10**6)
             # each chunk is overwritten by the next, so keep copies
-            chunks = [c.tolist() for c in orders._elements(shape, basis, additive)]
-            assert all(len(c) <= 7 for c in chunks)
+            chunks = [c.tolist() for c in matrices._elements(shape, basis, additive)]
+            assert len(chunks) > 1 and all(len(c) <= 7 for c in chunks)
             got = [tuple(row) for c in chunks for row in c]
             brute = {sum(t, ()) for t in brute_subring_closure(spec)}
             assert len(got) == len(set(got)) == np.prod(additive)
             assert set(got) == brute, spec
 
-    def test_closure_matches_an_identity_frontier(self):
+    def test_closure_matches_an_identity_frontier(self, monkeypatch):
         # the generators are the closure's first level; the reference starts
         # from the identity alone and reaches them as the products 1 * g, so
-        # both insert the same vectors in the same order
+        # both insert the same vectors in the same order, and so does the
+        # closure when each level is multiplied in batches of 16 entries
         def reference(shape, gen_rows, m):
             basis, width = {}, shape.width
             gens = np.array(gen_rows, dtype=np.int64).reshape(-1, width) % m
@@ -310,26 +311,46 @@ class TestSubringClosure:
             cols = sorted(basis)
             return [basis[j][0] for j in cols], [m // basis[j][1] for j in cols]
 
+        products, real_mul = [], orders._mul_rows
+
+        def mul_rows(*args):
+            out = real_mul(*args)
+            products.append(out.size)
+            return out
+
+        monkeypatch.setattr(orders, "_mul_rows", mul_rows)
         rng = random.Random(16)
         levels = (2, 3, 4, 5, 6, 8, 9, 10, 12)
-        composite = 0
+        composite = batched = 0
         for _ in range(240):
             blocks = rng.choice([(1, 1), (2,), (1, 2), (1, 1, 1), (3,)])
             m = rng.choice(levels)
             spec = random_spec(rng, m, blocks, n_gens=rng.randint(0, 3))
             shape = matrices._shape(m, blocks)
             rows = [orders._mats_to_row(t) for t in spec.generators]
-            got_rows, got_additive = orders._closure(shape, rows, 10**30)
             want_rows, want_additive = reference(shape, rows, m)
-            assert got_rows.tolist() == want_rows, spec
-            assert got_additive == want_additive, spec
+            calls = []
+            for chunk in (1 << 15, 16):
+                monkeypatch.setattr(matrices, "_CHUNK", chunk)
+                products.clear()
+                got_rows, got_additive = orders._closure(shape, rows, 10**30)
+                assert got_rows.tolist() == want_rows, (spec, chunk)
+                assert got_additive == want_additive, (spec, chunk)
+                assert all(n <= max(chunk, len(rows) * shape.width) for n in products)
+                calls.append(len(products))
             composite += m in (4, 6, 8, 9, 10, 12)
-        assert composite >= 100
+            batched += calls[1] > calls[0]
+        assert composite >= 100 and batched >= 20, (composite, batched)
+
+    def test_chunk_size_and_enumerator_live_in_the_row_kernel(self):
+        assert not hasattr(orders, "_CHUNK")
+        assert not hasattr(orders, "_combinations")
+        assert orders._elements is matrices._elements
 
     def test_one_chunk_subring_is_its_table(self, monkeypatch):
         # with _CHUNK = |S| the subring is one chunk, the table of all its
         # basis rows, and takes no _combinations; one less and it is split
-        combos = spy(monkeypatch, "_combinations")
+        combos = spy(monkeypatch, "_combinations", matrices)
         for spec in (
             spec_1x1(12, [(1, 3)]),
             spec_3x1(6, [(0, 2, 0), (0, 3, 1)]),
@@ -342,14 +363,14 @@ class TestSubringClosure:
             size = prod(additive)
             brute = {sum(t, ()) for t in brute_subring_closure(spec)}
             for chunk, one in ((size, True), (size - 1, False)):
-                monkeypatch.setattr(orders, "_CHUNK", chunk)
+                monkeypatch.setattr(matrices, "_CHUNK", chunk)
                 combos.clear()
                 # each chunk is overwritten by the next, so keep copies
-                chunks = [c.tolist() for c in orders._elements(shape, basis, additive)]
+                chunks = [c.tolist() for c in matrices._elements(shape, basis, additive)]
                 got = [tuple(row) for c in chunks for row in c]
                 assert len(got) == len(set(got)) == size, spec
                 assert set(got) == brute, spec
-                assert (len(chunks) == 1 and not combos) == one, (spec, chunk)
+                assert (len(chunks) == 1) == (not combos) == one, (spec, chunk)
 
 
 class TestSubringUnits:
@@ -979,23 +1000,23 @@ def units_spec(m, blocks, cells):
     return OrderSpec(m=m, blocks=tuple(blocks), generators=tuple(gens))
 
 
-def forbid(monkeypatch, *names):
+def forbid(monkeypatch, *names, module=orders):
     for name in names:
         def fail(*args, name=name):
             raise AssertionError(f"{name} was called")
 
-        monkeypatch.setattr(orders, name, fail)
+        monkeypatch.setattr(module, name, fail)
 
 
-def spy(monkeypatch, name):
+def spy(monkeypatch, name, module=orders):
     calls = []
-    real = getattr(orders, name)
+    real = getattr(module, name)
 
     def wrapper(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(orders, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -1074,7 +1095,7 @@ class TestShortcuts:
     @pytest.mark.parametrize("spec", BIG_TRIANGULAR, ids=["2@36", "2,2@9"])
     def test_probe_settles_a_proper_subring(self, monkeypatch, spec):
         size = subring_size(spec)
-        assert orders._CHUNK < size < spec.m ** sum(r * r for r in spec.blocks)
+        assert matrices._CHUNK < size < spec.m ** sum(r * r for r in spec.blocks)
         forbid(monkeypatch, "_elements")
         assert genus(spec).total == 1
 
@@ -1082,7 +1103,7 @@ class TestShortcuts:
     def test_one_chunk_subring_takes_no_probe(self, monkeypatch, spec):
         # 1,728 and 3,125 elements: one chunk, whose scan costs less than a
         # probe, and the brute force agrees on genus 1
-        assert subring_size(spec) <= orders._CHUNK
+        assert subring_size(spec) <= matrices._CHUNK
         assert brute_genus(spec) == 1
         forbid(monkeypatch, "_probe", "_span")
         assert genus(spec).total == 1
@@ -1098,7 +1119,8 @@ class TestShortcuts:
         # the generator (1, 1) is the identity, which the first level finds
         # in the span, and the m scalars make one chunk: the genus takes no
         # blockwise product and no mixed-radix combination
-        forbid(monkeypatch, "_mul_rows", "_combinations")
+        forbid(monkeypatch, "_mul_rows")
+        forbid(monkeypatch, "_combinations", module=matrices)
         for m in range(2, 161):
             assert genus(pullback_spec(m)).total == genus_pullback_formula(m), m
 
@@ -1121,13 +1143,14 @@ class TestShortcuts:
         # a diagonal copy repeats one generator in every block, which gives
         # genus > 1; with 64-row chunks the probe runs on subrings small
         # enough for the brute force
-        monkeypatch.setattr(orders, "_CHUNK", 64)
-        spans = spy(monkeypatch, "_span")
+        monkeypatch.setattr(matrices, "_CHUNK", 64)
+        spans, dets = spy(monkeypatch, "_span"), spy(monkeypatch, "_block_dets")
         rng = random.Random(2024)
         shapes = [((2,), (8, 9, 10, 12)), ((1, 2), (5, 6, 7)),
                   ((1, 1, 1), (12, 24, 30)), ((2, 2), (3, 4, 5, 6, 7, 8)),
                   ((3,), (3,)), ((1, 1, 1, 1), (6, 10)), ((1, 1), (10, 12, 30))]
-        seen = {"whole": 0, "probed, one": 0, "probed, above one": 0}
+        seen = {"whole": 0, "probed, one": 0, "probed, above one": 0,
+                "several chunks": 0}
         for _ in range(300):
             blocks, levels = rng.choice(shapes)
             m = rng.choice(levels)
@@ -1143,9 +1166,11 @@ class TestShortcuts:
             if size > 2_000:
                 continue
             spans.clear()
+            dets.clear()
             got = genus_relative.__wrapped__(spec)
             assert got == brute_genus(spec), spec
             seen["whole"] += size == m ** sum(r * r for r in blocks)
+            seen["several chunks"] += len(dets) - len(spans) > 1  # a probe takes one
             seen["probed, one"] += bool(spans) and got == 1
             seen["probed, above one"] += bool(spans) and got > 1
         assert min(seen.values()) >= 3, seen
@@ -1179,7 +1204,7 @@ class TestShortcuts:
         # a boolean map over the b^k codes, or per-chunk dedupe and a merge,
         # over chunks of at most 4 rows, so that no chunk meets every coset
         rng = random.Random(17)
-        monkeypatch.setattr(orders, "_CHUNK", 4)
+        monkeypatch.setattr(matrices, "_CHUNK", 4)
         merges = spy(monkeypatch, "_distinct_rows")
         for blocks, m in [((1, 1), 10), ((2,), 12), ((1, 1, 1), 6), ((1, 2), 4),
                           ((1, 1), 9), ((1, 1, 1, 1), 15)]:
@@ -1188,7 +1213,7 @@ class TestShortcuts:
             rows = [orders._mats_to_row(t) for t in spec.generators]
             basis, additive = orders._closure(shape, rows, 10**6)
             dets = [matrices._block_dets(shape, c)
-                    for c in orders._elements(shape, basis, additive)]
+                    for c in matrices._elements(shape, basis, additive)]
             assert len(dets) > 1
             k, base = len(blocks), m // 2 + 1
             counts = []
@@ -1222,16 +1247,17 @@ class TestCosetCount:
         shapes = [(1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 2), (1, 1, 1),
                   (1, 1, 1, 1)]
         spans, merges = spy(monkeypatch, "_span"), spy(monkeypatch, "_distinct_rows")
-        counts = spy(monkeypatch, "_count")
-        seen = {"map": 0, "sorted": 0, "probe settles": 0, "probe fails": 0}
+        counts, dets = spy(monkeypatch, "_count"), spy(monkeypatch, "_block_dets")
+        seen = {"map": 0, "sorted": 0, "probe settles": 0, "probe fails": 0,
+                "several chunks": 0}
         checked = 0
         while checked < 1000:
             spec = random_spec(rng, rng.choice(levels), rng.choice(shapes),
                                n_gens=rng.randint(0, 2))
             if subring_size(spec) > 400:
                 continue
-            monkeypatch.setattr(orders, "_CHUNK", (8, 64, 1 << 15)[checked % 3])
-            for calls in (spans, merges, counts):
+            monkeypatch.setattr(matrices, "_CHUNK", (8, 64, 1 << 15)[checked % 3])
+            for calls in (spans, merges, counts, dets):
                 calls.clear()
             got = genus_relative.__wrapped__(spec)
             assert got == brute_genus(spec), spec
@@ -1239,6 +1265,7 @@ class TestCosetCount:
             seen["sorted"] += bool(merges)
             seen["probe settles"] += bool(spans) and not counts
             seen["probe fails"] += bool(spans) and bool(counts)
+            seen["several chunks"] += len(dets) - len(spans) > 1  # a probe takes one
             checked += 1
         assert min(seen.values()) >= 20, seen
 
