@@ -202,12 +202,13 @@ def _shape(m: int, blocks: tuple[int, ...]) -> _Shape:
 
 @lru_cache(maxsize=16)
 def _coset_lut(m: int) -> np.ndarray:
-    """nu(d) = min(d, m - d), naming the coset {d, -d} of {+-1}, at a unit d
-    and -1 at the multiples of the primes of m; 16 int32 tables cost 64*m bytes."""
-    lut = np.arange(m, dtype=np.int32 if m < 2**31 else np.int64)
+    """The digit nu(d) + 1, for nu(d) = min(d, m - d), naming the coset
+    {d, -d} of {+-1} at a unit d, and 0 at the multiples of the primes of m;
+    16 int32 tables cost 64*m bytes."""
+    lut = np.arange(1, m + 1, dtype=np.int32 if m < 2**31 - 1 else np.int64)
     lut[m // 2 + 1 :] = lut[(m - 1) // 2 : 0 : -1]
     for p, _ in prime_powers(m):
-        lut[::p] = -1
+        lut[::p] = 0
     return lut
 
 
@@ -308,7 +309,7 @@ def _gl_flat(r: int, m: int, lut: np.ndarray | None = None) -> np.ndarray:
     element i has base-m code i.  The default lut, the units mod m, gives
     GL(r, Z/m); criterion 4 passes the signs +-1."""
     shape = _shape(m, (r,))
-    lut = _coset_lut(m) >= 0 if lut is None else lut
+    lut = _coset_lut(m) > 0 if lut is None else lut
     chunks = _elements(shape, np.eye(r * r, dtype=np.int64), [m] * (r * r))
     return np.flatnonzero(np.concatenate([lut[_block_dets(shape, rows)[:, 0]]
                                           for rows in chunks]))

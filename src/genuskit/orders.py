@@ -348,9 +348,11 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
 # The genus is |Q| / c for Q = ((Z/m)^x)^k / {+-1}^k, which has
 # (phi(m)/sigma(m))^k elements, and c the number of cosets of {+-1}^k that
 # D = det(K) meets.  A unit d and m - d make up its coset of {+-1}, so the
-# coset of a tuple is named by the table _coset_lut of nu(d) = min(d, m - d)
-# in each block, and counted by its base-(m//2 + 1) code, never decoded.
-# Two shortcuts settle genus 1 before the scan of S, and both are exact:
+# coset of a tuple is named by nu(d) = min(d, m - d) in each block, and
+# counted by its _codes, never decoded: the base-B numbers, B = m//2 + 2,
+# whose digits nu(d) + 1 the table _coset_lut holds.  A non-unit has the
+# digit 0 there, so the codes of unit rows are the codes with no zero
+# digit.  Two shortcuts settle genus 1 before the scan of S, and both are exact:
 #
 # - S is the whole ring when every Howell pivot is 1.  det maps its units,
 #   prod GL(r_i, Z/m), onto ((Z/m)^x)^k, so the index is 1.
@@ -363,62 +365,83 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
 _PROBE = 256
 
 
+def _codes(lut: np.ndarray, dets: np.ndarray, base: int) -> np.ndarray:
+    """The base-``base`` codes of the rows of ``dets`` whose digits are
+    their lut entries, the first block most significant; base**k < 2^63.
+    They are accumulated a block at a time in one int64 column."""
+    codes = lut[dets[:, 0]].astype(np.int64)
+    for j in range(1, dets.shape[1]):
+        codes *= base
+        codes += lut[dets[:, j]]
+    return codes
+
+
 def _count(m: int, k: int, dets, size: int) -> int:
     """The number of cosets of {+-1}^k that the unit rows among the chunks
-    ``dets`` of determinant tuples meet, at most ``size`` rows in all.  The
-    base-b codes of their nu rows, b = m//2 + 1, mark a boolean map when
-    the b^k codes number at most max(size, _CHUNK); otherwise each chunk's
-    codes, or its nu rows where b^k >= 2^63 would leave int64, are
-    deduplicated on their own and merged once at the end."""
-    lut, base = matrices._coset_lut(m), m // 2 + 1
-    chunks = (nu[nu.min(axis=1) >= 0] for nu in (lut[d] for d in dets))
-    if base**k < 2**63:
-        place = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        chunks = (rows @ place for rows in chunks)
-    if base**k <= max(size, matrices._CHUNK):
+    ``dets`` of determinant tuples meet, at most ``size`` rows in all.  When
+    the B^k bytes of a boolean map over the codes, B = m//2 + 2, are at most
+    those of one int64 column of max(size, _CHUNK) rows, every row's code
+    marks the map, and the count is of the marked codes with no zero digit,
+    the sub-box from digit 1 up in every block.  Otherwise the unit rows of
+    each chunk, as codes or, where B^k >= 2^63 would leave int64, as digit rows,
+    are deduplicated on their own and merged once at the end."""
+    lut, base = matrices._coset_lut(m), m // 2 + 2
+    if base**k <= 8 * max(size, matrices._CHUNK):
         seen = np.zeros(base**k, dtype=bool)
-        for codes in chunks:
-            seen[codes] = True
-        return int(np.count_nonzero(seen))
+        for d in dets:
+            seen[_codes(lut, d, base)] = True
+        return int(np.count_nonzero(seen.reshape((base,) * k)[(slice(1, None),) * k]))
+    units = (d[lut[d].min(axis=1) > 0] for d in dets)
+    if base**k < 2**63:
+        chunks = (_codes(lut, d, base) for d in units)
+    else:
+        chunks = (lut[d] for d in units)
     return len(_distinct_rows(np.concatenate([_distinct_rows(c) for c in chunks])))
 
 
 def _span(gens: np.ndarray, m: int) -> np.ndarray:
     """A unit row for each coset of {+-1}^k in the subgroup of Q generated
-    by the unit rows among ``gens``; its base-b codes need b^k < 2^63.
+    by the unit rows among ``gens``; its _codes need B^k < 2^63.
 
     The group is abelian, so adjoining g to a subgroup G gives the union of
     the cosets g^i*G for i < j, where j is the least power with g^j in G.
     That union is built by doubling: if T holds the first n cosets, T and
     g^n*T together hold the first 2n, and T is the whole union exactly when
-    g^n lies in T.  Each extension is one membership pass against the
-    sorted codes of T, so adjoining g takes about log2(j) extensions, and
-    all of them together number at most log2 of the order of the span.
+    g^n lies in T, that is when g^n*T adds no coset to T, as T holds 1.
+    Each extension is one membership pass against the sorted codes of T, so
+    adjoining g takes about log2(j) extensions, and all of them together
+    number at most log2 of the order of the span.
     """
     lut = matrices._coset_lut(m)
-    gens = gens[lut[gens].min(axis=1) >= 0]
-    k, base = gens.shape[1], m // 2 + 1
-    place = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    gens = gens[lut[gens].min(axis=1) > 0]
+    k, base = gens.shape[1], m // 2 + 2
     group = np.full((1, k), 1 % m, dtype=np.int64)
-
-    def code(rows: np.ndarray) -> np.ndarray:
-        return lut[rows] @ place
-
     # the sorted codes of the group, closed by a sentinel above every code
-    codes = np.append(code(group), base**k)
+    codes = np.append(_codes(lut, group, base), base**k)
 
-    def outside(rows: np.ndarray) -> np.ndarray:
-        c = code(rows)
-        return codes[codes.searchsorted(c)] != c
+    def outside(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows whose cosets the group lacks, and their codes."""
+        c = _codes(lut, rows, base)
+        new = codes[codes.searchsorted(c)] != c
+        return rows[new], c[new]
 
-    while len(gens := gens[outside(gens)]):
+    while len(gens := outside(gens)[0]):
         power = gens[0]
-        while outside(power[None])[0]:
-            new = group * power % m
-            group = np.concatenate((group, new[outside(new)]))
-            codes = np.sort(np.append(code(group), base**k))
+        while len((fresh := outside(group * power % m))[0]):
+            group = np.concatenate((group, fresh[0]))
+            codes = np.sort(np.concatenate((codes, fresh[1])))
             power = power * power % m
     return group
+
+
+def _check_index(size: int) -> None:
+    """Refuse a scan or probe of a subring of ``size`` elements, before
+    either starts, when an index into it would leave int64."""
+    if size >= 2**63:
+        raise ResourceLimitError(
+            f"the subring has {size} elements, past the int64 index range",
+            phase="enumeration", needed=size, cap=2**63 - 1,
+        )
 
 
 def _probe(basis: np.ndarray, additive: list[int], m: int) -> np.ndarray:
@@ -446,6 +469,7 @@ def subring_closure(spec: OrderSpec, cap: int = DEFAULT_CAP) -> set:
     """
     shape = _shape(spec.m, spec.blocks)
     basis, additive = _closure(shape, [_mats_to_row(t) for t in spec.generators], cap)
+    _check_index(prod(additive))
     return {
         _row_to_mats(shape, row)
         for rows in _elements(shape, basis, additive)
@@ -498,7 +522,9 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
     D meets.  A whole-ring subring, or one above one chunk whose probe
     already meets every coset, returns 1 without the scan of S.
     ``cap`` bounds the number of subring elements and, past the whole-ring
-    return, the r*2^(r-1) terms of the largest block's determinant.
+    return, the r*2^(r-1) terms of the largest block's determinant; past
+    that return a subring of 2^63 elements or more is refused whatever the
+    cap, as its indices would leave int64.
     The last 64 answers are kept, keyed by (spec, cap) as passed; a
     ResourceLimitError is raised again on each call, never kept.
     """
@@ -516,8 +542,9 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
             f"a {r}x{r} determinant takes {terms} terms, above the cap of {cap}",
             phase="determinant", needed=terms, cap=cap,
         )
+    _check_index(size)
     full = (totient(m) // sign_count(m)) ** k
-    if size > matrices._CHUNK and size >= full and (m // 2 + 1) ** k < 2**63:
+    if size > matrices._CHUNK and size >= full and (m // 2 + 2) ** k < 2**63:
         if len(_span(_block_dets(shape, _probe(basis, additive, m)), m)) == full:
             return 1
     dets = (_block_dets(shape, rows) for rows in _elements(shape, basis, additive))

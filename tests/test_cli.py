@@ -80,6 +80,21 @@ class TestSpecFileVerbs:
         assert err.startswith("resource limit:")
         assert "Traceback" not in err
 
+    def test_subring_past_int64_index_is_resource_limit(self, capsys, tmp_path):
+        # e_{i,i+1} in Mat_10(Z/3), i < 9, generate 3^46 elements
+        gens = [[[int((p, q) == (i, i + 1)) for p in range(10) for q in range(10)]]
+                for i in range(9)]
+        path = tmp_path / "triangular.json"
+        path.write_text(json.dumps({"m": 3, "blocks": [10], "generators": gens}))
+        status, out, err = run(capsys, "genus-order", str(path), "--cap",
+                               str(10**40), "--json")
+        message = f"the subring has {3**46} elements, past the int64 index range"
+        assert status == 2
+        assert err == f"resource limit: {message}\n"
+        assert json.loads(out) == {"verb": "genus-order", "error": {
+            "message": message, "phase": "enumeration", "needed": 3**46,
+            "cap": 2**63 - 1, "lowerBound": False}}
+
     def test_bad_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops")

@@ -334,7 +334,7 @@ class TestRowKernel:
     def test_coset_lut_names_the_sign_cosets_of_units(self):
         for m in [*range(1, 401), 510_510, 999_999, 1_000_003]:
             d = np.arange(m)
-            want = np.where(np.gcd(d, m) == 1, np.minimum(d, m - d), -1)
+            want = np.where(np.gcd(d, m) == 1, np.minimum(d, m - d) + 1, 0)
             assert np.array_equal(matrices._coset_lut(m), want), m
 
     @pytest.mark.parametrize(
@@ -346,7 +346,7 @@ class TestRowKernel:
         # by a Leibniz determinant on Python ints
         dets = [leibniz_det(MatModM(m, r, t))
                 for t in itertools.product(range(m), repeat=r * r)]
-        masks = [(matrices._coset_lut(m) >= 0, lambda d: math.gcd(d, m) == 1),
+        masks = [(matrices._coset_lut(m) > 0, lambda d: math.gcd(d, m) == 1),
                  (is_sign(np.arange(m), m), lambda d: d in {1 % m, -1 % m})]
         for chunk in (7, matrices._CHUNK):
             monkeypatch.setattr(matrices, "_CHUNK", chunk)

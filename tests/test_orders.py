@@ -1201,13 +1201,15 @@ class TestShortcuts:
             assert set(map(coset, rows)) == set(map(coset, group))
 
     def test_both_determinant_paths_agree(self, monkeypatch):
-        # a boolean map over the b^k codes, or per-chunk dedupe and a merge,
-        # over chunks of at most 4 rows, so that no chunk meets every coset
+        # a boolean map over the B^k codes, or per-chunk dedupe and a merge,
+        # over chunks of at most 4 rows, so that no chunk meets every coset;
+        # the map serves B^k <= 8*max(size, _CHUNK), and with _CHUNK = 0
+        # while counting, the least size that takes it is ceil(B^k / 8)
         rng = random.Random(17)
-        monkeypatch.setattr(matrices, "_CHUNK", 4)
         merges = spy(monkeypatch, "_distinct_rows")
         for blocks, m in [((1, 1), 10), ((2,), 12), ((1, 1, 1), 6), ((1, 2), 4),
                           ((1, 1), 9), ((1, 1, 1, 1), 15)]:
+            monkeypatch.setattr(matrices, "_CHUNK", 4)
             spec = random_spec(rng, m, blocks, n_gens=2)
             shape = matrices._shape(m, blocks)
             rows = [orders._mats_to_row(t) for t in spec.generators]
@@ -1215,24 +1217,27 @@ class TestShortcuts:
             dets = [matrices._block_dets(shape, c)
                     for c in matrices._elements(shape, basis, additive)]
             assert len(dets) > 1
-            k, base = len(blocks), m // 2 + 1
+            k, base = len(blocks), m // 2 + 2
+            least = -(-base**k // 8)
+            monkeypatch.setattr(matrices, "_CHUNK", 0)
             counts = []
-            for size in (base**k, base**k - 1):
+            for size in (least, least - 1):
                 merges.clear()
                 counts.append(orders._count(m, k, dets, size))
-                assert bool(merges) == (size < base**k)
+                assert bool(merges) == (size < least)
             assert counts == [len(brute_cosets(spec))] * 2, spec
 
 
-# the container of the coset count at each shape of the matrix-orders and
-# big-ambient benchmark workloads: True for sorted codes, False for the map
-BENCH_CONTAINERS = [
-    *(((2,), m, False) for m in (5, 7, 8, 9, 10, 12, 13, 16, 20, 24)),
-    *(((1, 2), m, False) for m in (5, 7, 8, 9)),
-    *(((1, 1, 1), m, False) for m in (8, 12, 24, 30)),
-    ((3,), 3, False),
-    ((1, 1, 1), 100, True),  # 51^3 codes
-    ((1, 1), 600, True),  # 301^2 codes
+# the shapes of the matrix-orders and big-ambient benchmark workloads, whose
+# coset counts all mark the map: at most 302^2 codes, (1,1)@600, and
+# 52^3, (1,1,1)@100, against the 8*_CHUNK = 262,144 bytes of one int64
+# column of a chunk
+BENCH_SHAPES = [
+    *(((2,), m) for m in (5, 7, 8, 9, 10, 12, 13, 16, 20, 24)),
+    *(((1, 2), m) for m in (5, 7, 8, 9)),
+    *(((1, 1, 1), m) for m in (8, 12, 24, 30, 100)),
+    ((3,), 3),
+    ((1, 1), 600),
 ]
 
 
@@ -1276,27 +1281,82 @@ class TestCosetCount:
     def test_scalar_blocks_closed_form(self, monkeypatch, m, k, total):
         # the scalars of k 1x1 blocks: det(K) is the diagonal of
         # ((Z/m)^x)^k, which meets phi/sigma cosets, so the genus is
-        # (phi/sigma)^(k-1); at m = 120,011 the b^4 codes pass 2^63 and the
-        # rows themselves are merged
+        # (phi/sigma)^(k-1); at m = 100,003 the B^4 codes, B = m//2 + 2, are
+        # sorted, and at m = 120,011 they pass 2^63 and the digit rows
+        # themselves are merged
         merges = spy(monkeypatch, "_distinct_rows")
         spec = OrderSpec(m=m, blocks=(1,) * k, generators=())
         assert genus(spec).total == total == (totient(m) // sign_count(m)) ** (k - 1)
-        wide = (m // 2 + 1) ** k >= 2**63
+        wide = (m // 2 + 2) ** k >= 2**63
         assert wide == (m == 120_011)
         assert wide == any(a[0].ndim == 2 for a in merges)
+        assert bool(merges) == (m >= 100_003)
 
-    @pytest.mark.parametrize("blocks, m, sorted_codes", BENCH_CONTAINERS,
-                             ids=[f"{b}@{m}" for b, m, _ in BENCH_CONTAINERS])
-    def test_bench_shapes_take_their_container(self, monkeypatch, blocks, m,
-                                               sorted_codes):
-        # the scalars of each benchmark shape, scanned in one chunk: the
-        # matrix-orders shapes and most big-ambient ones mark a map, and
-        # big-ambient's (1,1,1)@100 and (1,1)@600 sort their codes
+    @pytest.mark.parametrize("m", [1, 2, 4, 9, 12, 13])
+    def test_non_unit_rows_are_never_counted(self, monkeypatch, m):
+        # seeded determinant rows, about half of them with a non-unit in
+        # some block, in chunks of 16; the map at size B^k, and the sorted
+        # codes at size 0 with _CHUNK = 0, against the cosets of the unit
+        # rows alone
+        rng = random.Random(m)
+        unit = [d for d in range(m) if gcd(d, m) == 1]
+        monkeypatch.setattr(matrices, "_CHUNK", 0)
+        merges = spy(monkeypatch, "_distinct_rows")
+        for k in range(1, 5):
+            rows = []
+            for _ in range(64):
+                row = [rng.choice(unit) for _ in range(k)]
+                if rng.random() < 0.5:
+                    row[rng.randrange(k)] = rng.randrange(m)
+                rows.append(row)
+            want = len({tuple(frozenset({d, -d % m}) for d in row)
+                        for row in rows if all(gcd(d, m) == 1 for d in row)})
+            dets = [np.array(rows[lo : lo + 16], dtype=np.int64, order="F")
+                    for lo in range(0, 64, 16)]
+            for size in ((m // 2 + 2) ** k, 0):
+                merges.clear()
+                assert orders._count(m, k, dets, size) == want, (k, size)
+                assert bool(merges) == (size == 0)
+
+    def test_count_of_a_group_is_its_span(self, monkeypatch):
+        # the unit determinants D = det(K) of seeded specs form a group, so
+        # the cosets D meets are the span of those cosets: _count and _span
+        # name each coset by the same code; every other spec counts on the
+        # sorted codes
+        rng = random.Random(4242)
+        shapes = [(1,), (2,), (1, 1), (1, 2), (1, 1, 1)]
+        merges = spy(monkeypatch, "_distinct_rows")
+        chunk, checked = matrices._CHUNK, 0
+        while checked < 200:
+            m = rng.randint(1, 40)
+            spec = random_spec(rng, m, rng.choice(shapes), n_gens=rng.randint(0, 2))
+            shape, k = matrices._shape(m, spec.blocks), len(spec.blocks)
+            rows = [orders._mats_to_row(t) for t in spec.generators]
+            basis, additive = orders._closure(shape, rows, 10**30)
+            if prod(additive) > 400:
+                continue
+            dets = np.concatenate([matrices._block_dets(shape, c) for c in
+                                   matrices._elements(shape, basis, additive)])
+            units = np.asfortranarray(dets[np.gcd(dets, m).max(axis=1) == 1])
+            sort = checked % 2 == 1
+            merges.clear()
+            monkeypatch.setattr(matrices, "_CHUNK", 0 if sort else chunk)
+            count = orders._count(m, k, [units], 0 if sort else len(units))
+            assert bool(merges) == sort
+            monkeypatch.setattr(matrices, "_CHUNK", chunk)
+            assert count == len(orders._span(units, m)) == len(brute_cosets(spec)), spec
+            checked += 1
+
+    @pytest.mark.parametrize("blocks, m", BENCH_SHAPES,
+                             ids=[f"{b}@{m}" for b, m in BENCH_SHAPES])
+    def test_bench_shapes_take_their_container(self, monkeypatch, blocks, m):
+        # the scalars of each benchmark shape, scanned in one chunk, mark
+        # the map and sort nothing
         merges = spy(monkeypatch, "_distinct_rows")
         counts = spy(monkeypatch, "_count")
         spec = OrderSpec(m=m, blocks=blocks, generators=())
         assert genus(spec).total == brute_genus(spec)
-        assert len(counts) == 1 and bool(merges) == sorted_codes
+        assert len(counts) == 1 and not merges
 
 
 class TestResourceLimitFields:
@@ -1334,6 +1394,27 @@ class TestResourceLimitFields:
             e = info.value
             assert (e.phase, e.needed, e.cap, e.lower_bound) == (
                 "enumeration", 3 * (m - 1) ** 2, 2**63 - 1, False)
+
+    def test_subring_past_int64_index(self, monkeypatch):
+        # the strictly upper triangular units e_{i,i+1} of Mat_10(Z/3)
+        # generate a subring of 3^46 elements, past int64 indices: it is
+        # refused whatever the cap, before any probe or chunk
+        forbid(monkeypatch, "_elements", "_probe")
+        spec = units_spec(3, (10,), [(0, i, i + 1) for i in range(9)])
+        for call in (genus, subring_closure):
+            with pytest.raises(ResourceLimitError, match=f"^the subring has {3**46} "
+                               "elements, past the int64 index range$") as info:
+                call(spec, cap=10**40)
+            e = info.value
+            assert (e.phase, e.needed, e.cap, e.lower_bound) == (
+                "enumeration", 3**46, 2**63 - 1, False)
+
+    def test_whole_ring_past_int64_index_has_genus_one(self, monkeypatch):
+        # Mat_10(Z/3) has 3^100 elements, but the whole ring returns
+        # before the index range matters
+        forbid(monkeypatch, "_elements", "_probe")
+        cells = [(0, i, i + 1) for i in range(9)] + [(0, i + 1, i) for i in range(9)]
+        assert genus(units_spec(3, (10,), cells), cap=10**60).total == 1
 
     def test_block_above_det_limit(self):
         # blocks above 4 take the same determinant routine as the others;
