@@ -11,8 +11,6 @@ import random
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import atoms as atoms_mod
 from . import matrices as matrices_mod
 from . import orders as orders_mod
@@ -106,6 +104,7 @@ def check_genus_one_catalog(cap: int = DEFAULT_CAP) -> CheckResult:
 def check_stable_image(cap: int = DEFAULT_CAP) -> CheckResult:
     """Closure of elementary generators is exactly the det = +-1 subgroup,
     the fact that genus_relative's H and stable_image_order both rest on."""
+    import numpy as np
     start = time.perf_counter()
     failures = []
     cases = [(2, m) for m in range(2, 13)] + [(3, m) for m in (2, 3, 4)]

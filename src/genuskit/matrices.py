@@ -2,8 +2,10 @@
 subgroup generated by elementary matrices (the mod-m image of the global
 unit group of the integer matrix ring), plus the int64 row kernel, whose one
 enumerator and one table of units per level serve GL and the subrings of
-:mod:`genuskit.orders`.  Determinants of every size take one division-free
-Laplace expansion, on Python ints in ``det`` and on int64 columns.
+:mod:`genuskit.orders` above one chunk.  Determinants of every size take one
+division-free Laplace expansion, on Python ints in ``det``, on columns of
+Python ints and on int64 columns.  The row kernel imports numpy on its
+first call, so a process that never reaches it never loads numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import prod
-
-import numpy as np
 
 from .cosets import FiniteGroup
 from .errors import ResourceLimitError
@@ -87,14 +87,14 @@ def mat_mul(a: MatModM, b: MatModM) -> MatModM:
         raise ValueError(f"modulus mismatch: {a.modulus} vs {b.modulus}")
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    r, m = a.size, a.modulus
-    x, y = a.entries, b.entries
-    out = tuple(
-        sum(x[i * r + t] * y[t * r + j] for t in range(r))
-        for i in range(r)
-        for j in range(r)
-    )
-    return MatModM(m, r, out)
+    return MatModM(a.modulus, a.size, _matmul(a.entries, b.entries, a.size))
+
+
+def _matmul(x, y, r: int) -> list[int]:
+    """The unreduced row-major entries of the product of the r x r matrices
+    whose row-major entries are ``x`` and ``y``, on Python ints."""
+    return [sum(x[i * r + t] * y[t * r + j] for t in range(r))
+            for i in range(r) for j in range(r)]
 
 
 @lru_cache(maxsize=None)
@@ -144,6 +144,27 @@ def _laplace(x, r: int, m: int):
     return minors[0]
 
 
+def _laplace_lists(x: list[list[int]], r: int, m: int) -> list[int]:
+    """_laplace on Python lists: ``x`` holds one list per entry of the r x r
+    matrices, row-major, and the result one determinant mod m per matrix.
+    Python ints are exact at any size, so the entries need not be reduced."""
+    if r == 1:
+        return [d % m for d in x[0]]
+    minors = x[(r - 1) * r:]
+    for level in _laplace_plan(r):
+        reduced = []
+        for (e, i, _), *rest in level:  # the first term's sign is +1
+            acc = [a * b for a, b in zip(x[e], minors[i])]
+            for e, i, sign in rest:
+                if sign > 0:
+                    acc = [t + a * b for t, a, b in zip(acc, x[e], minors[i])]
+                else:
+                    acc = [t - a * b for t, a, b in zip(acc, x[e], minors[i])]
+            reduced.append([t % m for t in acc])
+        minors = reduced
+    return minors[0]
+
+
 def det(a: MatModM) -> Residue:
     """Determinant by Laplace expansion, exact over Z/m for every size."""
     return Residue(_laplace(a.entries, a.size, a.modulus), a.modulus)
@@ -174,14 +195,19 @@ def elementary_generators(r: int, m: int) -> list[MatModM]:
 
 # -- row kernel ---------------------------------------------------------------
 #
-# Internally an element of prod_i Mat(r_i, Z/m) is one numpy int64 row: the
-# row-major entries of every block, concatenated, reduced into 0..m-1.
-# MatModM appears only at the public boundary, where mat_mul and det take
-# exact Python ints.  Rows are handled _CHUNK at a time, so that
-# temporaries stay small whatever the size of the group.  Duplicates are
-# dropped by _distinct_rows, not np.unique: np.unique(axis=0) is several
-# times slower on int64 rows, and under numpy 2 the first np.unique call in
-# a process imports numpy.ma, which takes longer than a small genus.
+# Internally an element of prod_i Mat(r_i, Z/m) is one row: the row-major
+# entries of every block, concatenated, reduced into 0..m-1.  MatModM
+# appears only at the public boundary, where mat_mul and det take exact
+# Python ints.  _CHUNK divides the work between Python ints and numpy: a
+# subring of at most _CHUNK elements, and a closure level of at most _CHUNK
+# multiply-adds, stay on Python lists, which spares a small query the
+# time and memory of importing numpy; past that the rows are numpy int64
+# rows, handled _CHUNK at a time, so that temporaries stay small whatever
+# the size of the group.  Each function here that takes numpy imports it
+# itself.  Duplicates are dropped by _distinct_rows, not np.unique:
+# np.unique(axis=0) is several times slower on int64 rows, and under
+# numpy 2 the first np.unique call in a process imports numpy.ma, which
+# takes longer than a small genus.
 _CHUNK = 1 << 15
 
 
@@ -205,6 +231,7 @@ def _coset_lut(m: int) -> np.ndarray:
     """The digit nu(d) + 1, for nu(d) = min(d, m - d), naming the coset
     {d, -d} of {+-1} at a unit d, and 0 at the multiples of the primes of m;
     16 int32 tables cost 64*m bytes."""
+    import numpy as np
     lut = np.arange(1, m + 1, dtype=np.int32 if m < 2**31 - 1 else np.int64)
     lut[m // 2 + 1 :] = lut[(m - 1) // 2 : 0 : -1]
     for p, _ in prime_powers(m):
@@ -217,6 +244,7 @@ def _mul_rows(shape: _Shape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows.  An entry of a product sums r terms below (m-1)^2, so the result
     is exact in int64 while r*(m-1)^2 < 2^63 for the largest block size r.
     """
+    import numpy as np
     lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     out = np.empty(lead + (shape.width,), dtype=np.int64)
     for r, off in zip(shape.blocks, shape.offsets):
@@ -230,6 +258,7 @@ def _block_dets(shape: _Shape, rows: np.ndarray) -> np.ndarray:
     """Blockwise determinants mod m of reduced rows, one column per block,
     by _laplace over each block's entry columns; exact in int64 within the
     range r*(m-1)^2 < 2^63 that _mul_rows and the subring closure admit."""
+    import numpy as np
     # column-major, so that each block's column is contiguous
     out = np.empty((len(rows), len(shape.blocks)), dtype=np.int64, order="F")
     for col, (r, off) in enumerate(zip(shape.blocks, shape.offsets)):
@@ -241,6 +270,7 @@ def _distinct_rows(a: np.ndarray) -> np.ndarray:
     """The distinct rows of a 2-D array, or the distinct entries of a 1-D
     one, in ascending lexicographic order: a sort, then each row kept when
     it differs from its predecessor."""
+    import numpy as np
     if a.ndim == 1:
         s = np.sort(a)
         differs = s[1:] != s[:-1]
@@ -259,16 +289,18 @@ def _combinations(basis: np.ndarray, additive: list[int], index: np.ndarray,
     last digit varies fastest; over the standard basis with radices m, the
     rows of the matrices with those base-m codes.  A sum has one term below
     (m-1)^2 per row, exact in int64 while len(basis)*(m-1)^2 < 2^63."""
+    import numpy as np
     radices = np.array(additive, dtype=np.int64)
     place = np.array([prod(additive[j + 1 :]) for j in range(len(additive))],
                      dtype=np.int64)
     return index[:, None] // place % radices @ basis % m
 
 
-def _elements(shape: _Shape, basis: np.ndarray, additive: list[int]):
-    """The elements sum c_j * basis[j] mod m, 0 <= c_j < additive[j], each
-    once, in chunks of at most _CHUNK rows and in mixed-radix order: element
-    i is _combinations at index i, the first row varying slowest.
+def _elements(shape: _Shape, basis, additive: list[int]):
+    """The elements sum c_j * basis[j] mod m, 0 <= c_j < additive[j], for
+    basis rows given as lists or an int64 array, each once, in chunks of at
+    most _CHUNK rows and in mixed-radix order: element i is _combinations
+    at index i, the first row varying slowest.
 
     The last rows are tabulated once, unreduced: an entry sums one multiple
     below m per row.  Each chunk adds the table to the _combinations of the
@@ -281,7 +313,9 @@ def _elements(shape: _Shape, basis: np.ndarray, additive: list[int]):
     memory for each chunk cost more in page faults than the additions that
     fill it.
     """
+    import numpy as np
     m, width = shape.m, shape.width
+    basis = np.array(basis, dtype=np.int64).reshape(len(additive), width)
     split, low = len(basis), 1
     while split and low * additive[split - 1] <= _CHUNK:
         split -= 1
@@ -308,6 +342,7 @@ def _gl_flat(r: int, m: int, lut: np.ndarray | None = None) -> np.ndarray:
     lut[d] True, filtered from the _elements of the standard basis, whose
     element i has base-m code i.  The default lut, the units mod m, gives
     GL(r, Z/m); criterion 4 passes the signs +-1."""
+    import numpy as np
     shape = _shape(m, (r,))
     lut = _coset_lut(m) > 0 if lut is None else lut
     chunks = _elements(shape, np.eye(r * r, dtype=np.int64), [m] * (r * r))
@@ -319,6 +354,7 @@ def _row_table(gens: list[MatModM]) -> np.ndarray:
     """T[g, c] is the code of v*g for the g-th generator g and the row v of
     length r with base-m code c, the first entry most significant; shape
     (#gens, m^r)."""
+    import numpy as np
     r, m = gens[0].size, gens[0].modulus
     place = m ** np.arange(r - 1, -1, -1, dtype=np.int64)
     # column c holds the entries of row code c
@@ -333,6 +369,7 @@ def _right_products(table: np.ndarray, codes: np.ndarray, r: int) -> np.ndarray:
     its own, so with M = m^r the code of x*g is sum_a T[g, x_a] * M^(r-1-a)
     over the row codes x_a = code // M^(r-1-a) % M of x.
     """
+    import numpy as np
     rows_m = table.shape[1]
     place = rows_m ** np.arange(r - 1, -1, -1, dtype=np.int64)
     return sum(table[:, codes // place[a] % rows_m] * place[a] for a in range(r))
@@ -346,6 +383,7 @@ def _stable_flat(r: int, m: int) -> np.ndarray:
     multiplied.  What was reached is marked in a boolean map over all
     m^(r^2) codes, which _check_scan_cap bounds.  It serves stable_image and
     criterion 4."""
+    import numpy as np
     if r == 1:
         return np.array(sorted({1 % m, -1 % m}), dtype=np.int64)
     table = _row_table(elementary_generators(r, m))
@@ -366,6 +404,7 @@ def _stable_flat(r: int, m: int) -> np.ndarray:
 
 def _group(codes: np.ndarray, r: int, m: int, name: str) -> FiniteGroup:
     """The group of the matrices with these codes, decoded a chunk at a time."""
+    import numpy as np
     eye, radices = np.eye(r * r, dtype=np.int64), [m] * (r * r)
     chunks = (_combinations(eye, radices, codes[lo : lo + _CHUNK], m).tolist()
               for lo in range(0, len(codes), _CHUNK))

@@ -20,11 +20,14 @@ therefore normal in U with abelian quotient, and
 for k blocks, sigma(m) = |{+-1}| and c the number of cosets of {+-1}^k that
 det(K) meets.  The subring S is held as a Howell basis over Z/m, so |S| is
 exact before any element exists, and that size is the only size limit.  A
-whole ring, and a subring above one chunk whose probe already meets every
-coset, have genus 1 without a scan of S; otherwise c is counted over a
-streamed scan of S, a chunk of int64 rows of the row kernel's enumerator
-in :mod:`genuskit.matrices` at a time, which never holds all of S.  The
-generic engine in :mod:`genuskit.cosets` is the test oracle for this route.
+whole ring, a level with phi(m) = sigma(m), and a subring above one chunk
+whose probe already meets every coset have genus 1 without a count of c.
+A subring of at most one chunk counts c on Python ints, one prime power
+of m at a time, from lifts of S/pS; a larger one counts it over a streamed
+scan of S, a chunk of int64 rows of the numpy row kernel in
+:mod:`genuskit.matrices` at a time, which never holds all of S.  numpy is
+imported only when that kernel first runs.  The generic engine in
+:mod:`genuskit.cosets` is the test oracle for both routes.
 
 genus_relative keeps its last 64 answers, keyed by the frozen OrderSpec and
 the cap, so an order asked again in one process (pullback levels shared by
@@ -37,17 +40,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, product
 from math import gcd, prod
 from pathlib import Path
-
-import numpy as np
 
 from . import matrices
 from .cosets import FiniteGroup
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .matrices import (DEFAULT_CAP, MatModM, _block_dets, _distinct_rows, _elements,
-                       _mul_rows, _Shape, _shape, det, mat_mul)
-from .rings import ext_gcd, sign_count, totient
+                       _laplace, _laplace_lists, _matmul, _mul_rows, _Shape, _shape,
+                       det, mat_mul)
+from .rings import ext_gcd, prime_powers, sign_count, totient
 
 
 @dataclass(frozen=True)
@@ -248,15 +251,17 @@ def _mats_to_row(tup) -> tuple[int, ...]:
 # breadth-first over words: it inserts the identity and then the generators
 # themselves, the words 1*g, which make the first level without a product;
 # from there each level multiplies the words that grew the span on the right
-# by every generator, in batches of at most _CHUNK product entries, and
-# inserts the products; those that grew the span make the next level.  This
+# by every generator, on Python ints when the level takes at most _CHUNK
+# multiply-adds and otherwise in numpy batches of at most _CHUNK product
+# entries, and inserts the products; those that grew the span make the
+# next level.  This
 # is exact.  Every word that did not grow the span lies in the span of words
 # that did, and each of those has all its products with a generator g
 # inserted, so by linearity the final span T has T*g inside T.  Every
 # insertion that grows the span at least doubles it, so at most log2|S|
 # words grow it, and at most as many levels run.
 # Once every pivot is 1 the span is the whole ring, which holds every
-# product, so the pass stops there.
+# product, so the pass stops there, at the end of a level or a batch.
 
 
 def _insert(basis: dict[int, tuple[list[int], int]], m: int, v: list[int]) -> bool:
@@ -295,16 +300,24 @@ def _insert(basis: dict[int, tuple[list[int], int]], m: int, v: list[int]) -> bo
     return grew
 
 
-def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
+def _mul_lists(shape: _Shape, a: list[int], b: list[int]) -> list[int]:
+    """The blockwise product mod m of two rows held as Python lists."""
+    return [e % shape.m for r, off in zip(shape.blocks, shape.offsets)
+            for e in _matmul(a[off : off + r * r], b[off : off + r * r], r)]
+
+
+def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[list[list[int]], list[int]]:
     """Howell basis of the subring generated by the identity and gen_rows:
-    its rows in column order, and the additive order m/d_j of each.
+    its rows in column order, as lists, and the additive order m/d_j of each.
 
     The span is built from the words in gen_rows, breadth-first: the first
     level is the generators, inserted after the identity, and each later
     level multiplies the words that grew the span by every generator on the
-    right, in _mul_rows calls of at most _CHUNK product entries or of one
-    word; the products that grow it make the next level.  ``cap`` bounds
-    |S| = prod m/d_j, checked before any element is made.
+    right; the products that grow it make the next level.  A level whose
+    products take at most _CHUNK multiply-adds is multiplied by _mul_lists
+    on Python ints, and a larger one in _mul_rows calls of at most _CHUNK
+    product entries or of one word.  ``cap`` bounds |S| = prod m/d_j,
+    checked before any element is made.
     """
     m, width = shape.m, shape.width
     # the m multiples of the identity are distinct and lie in every subring
@@ -316,15 +329,30 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
         raise ResourceLimitError(f"level {m} is past the row kernel's int64 range",
                                  phase="closure", needed=reach, cap=2**63 - 1)
     basis = {}
-    gens = np.array(gen_rows, dtype=np.int64).reshape(-1, width) % m
+    gens = [[e % m for e in g] for g in gen_rows]
     identity = [int(i == j) for r in shape.blocks for i in range(r) for j in range(r)]
     _insert(basis, m, identity)
-    frontier = [g for g in gens.tolist() if _insert(basis, m, g)]
-    while frontier and (len(basis) < width or any(d > 1 for _, d in basis.values())):
-        level, frontier = np.array(frontier, dtype=np.int64)[:, None], []
+    frontier = [g for g in gens if _insert(basis, m, g)]
+    # the multiply-adds of the products of one word with every generator
+    cost = len(gens) * sum(r**3 for r in shape.blocks)
+
+    def whole() -> bool:
+        return len(basis) == width and all(d == 1 for _, d in basis.values())
+
+    while frontier and not whole():
+        level, frontier = frontier, []
+        if len(level) * cost <= matrices._CHUNK:
+            words = [_mul_lists(shape, w, g) for w in level for g in gens]
+            frontier = [w for w in words if _insert(basis, m, w)]
+            continue
+        import numpy as np
+        right = np.array(gens, dtype=np.int64)
+        level = np.array(level, dtype=np.int64)[:, None]
         step = max(1, matrices._CHUNK // (len(gens) * width))
         for lo in range(0, len(level), step):
-            words = _mul_rows(shape, level[lo : lo + step], gens).reshape(-1, width)
+            if whole():
+                break
+            words = _mul_rows(shape, level[lo : lo + step], right).reshape(-1, width)
             frontier += [w for w in words.tolist() if _insert(basis, m, w)]
     size = prod(m // d for _, d in basis.values())
     if size > cap:
@@ -339,29 +367,49 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[np.ndarray, list[int]]:
             phase="enumeration", needed=reach, cap=2**63 - 1,
         )
     cols = sorted(basis)
-    rows = np.array([basis[j][0] for j in cols], dtype=np.int64).reshape(-1, width)
-    return rows, [m // basis[j][1] for j in cols]
+    return [basis[j][0] for j in cols], [m // basis[j][1] for j in cols]
 
 
 # -- determinant image --------------------------------------------------------
 #
 # The genus is |Q| / c for Q = ((Z/m)^x)^k / {+-1}^k, which has
 # (phi(m)/sigma(m))^k elements, and c the number of cosets of {+-1}^k that
-# D = det(K) meets.  A unit d and m - d make up its coset of {+-1}, so the
-# coset of a tuple is named by nu(d) = min(d, m - d) in each block, and
-# counted by its _codes, never decoded: the base-B numbers, B = m//2 + 2,
-# whose digits nu(d) + 1 the table _coset_lut holds.  A non-unit has the
-# digit 0 there, so the codes of unit rows are the codes with no zero
-# digit.  Two shortcuts settle genus 1 before the scan of S, and both are exact:
+# D = det(K) meets.  Three shortcuts settle genus 1 before c is counted, and
+# all are exact:
 #
 # - S is the whole ring when every Howell pivot is 1.  det maps its units,
 #   prod GL(r_i, Z/m), onto ((Z/m)^x)^k, so the index is 1.
-# - A probe of _PROBE elements of S, at a fixed stride through the
-#   mixed-radix index space of the basis, gives cosets that span a subgroup
-#   of the image of D in Q; when that is all of Q the genus is 1, and
-#   otherwise the scan decides.  It is taken only above one chunk, whose
-#   scan costs less, and when |S| >= |Q|, as K meets at most |S| cosets.
-#   It needs no random numbers, and so no import of numpy.random.
+# - Q is trivial when phi(m) = sigma(m), that is for m in {1, 2, 3, 4, 6}.
+# - Above one chunk, a probe of _PROBE elements of S, at a fixed stride
+#   through the mixed-radix index space of the basis, gives cosets that
+#   span a subgroup of the image of D in Q; when that is all of Q the genus
+#   is 1, and otherwise the scan decides.  It is taken only when
+#   |S| >= |Q|, as K meets at most |S| cosets.  It needs no random numbers,
+#   and so no import of numpy.random.
+#
+# A subring of at most _CHUNK elements counts c on Python ints, one prime
+# power q = p^e || m at a time, in _prime_cosets.  By the CRT, S, K and D
+# are the products of their images S_q, K_q and D_q = det(K_q) mod q, while
+# a sign tuple s in {+-1}^k lies in every factor at once, so
+#
+#     c = |D| / |D meet {+-1}^k|
+#       = prod_q |D_q| / #{s in {+-1}^k : s mod q in D_q for every q}.
+#
+# pS_q is a nilpotent ideal, so K_q / (1 + pS_q) is (S_q / pS_q)^x, and
+# K_q is the union of u*(1 + pS_q) over the units u among any lifts of
+# S_q / pS_q: here the sums c_j * b_j, 0 <= c_j < p, of the Howell rows b_j
+# mod q whose additive order p divides, the others vanishing mod q.  Since
+# (1 + p^i x)(1 + p^i y) = 1 + p^i (x + y) modulo p^(i+1) S_q, the group
+# 1 + pS_q is generated by the 1 + p^i b_j for 1 <= i < e, and D_q is the
+# closure of the lifts' unit determinant tuples under det(1 + p^i b_j).
+# The lifts, D_q and so the whole count take O(|S|) tuple operations.
+#
+# A subring above one chunk takes the numpy row kernel.  A unit d and
+# m - d make up its coset of {+-1}, so the coset of a tuple is named by
+# nu(d) = min(d, m - d) in each block, and counted by its _codes, never
+# decoded: the base-B numbers, B = m//2 + 2, whose digits nu(d) + 1 the
+# table _coset_lut holds.  A non-unit has the digit 0 there, so the codes
+# of unit rows are the codes with no zero digit.
 _PROBE = 256
 
 
@@ -369,6 +417,7 @@ def _codes(lut: np.ndarray, dets: np.ndarray, base: int) -> np.ndarray:
     """The base-``base`` codes of the rows of ``dets`` whose digits are
     their lut entries, the first block most significant; base**k < 2^63.
     They are accumulated a block at a time in one int64 column."""
+    import numpy as np
     codes = lut[dets[:, 0]].astype(np.int64)
     for j in range(1, dets.shape[1]):
         codes *= base
@@ -385,6 +434,7 @@ def _count(m: int, k: int, dets, size: int) -> int:
     the sub-box from digit 1 up in every block.  Otherwise the unit rows of
     each chunk, as codes or, where B^k >= 2^63 would leave int64, as digit rows,
     are deduplicated on their own and merged once at the end."""
+    import numpy as np
     lut, base = matrices._coset_lut(m), m // 2 + 2
     if base**k <= 8 * max(size, matrices._CHUNK):
         seen = np.zeros(base**k, dtype=bool)
@@ -412,6 +462,7 @@ def _span(gens: np.ndarray, m: int) -> np.ndarray:
     adjoining g takes about log2(j) extensions, and all of them together
     number at most log2 of the order of the span.
     """
+    import numpy as np
     lut = matrices._coset_lut(m)
     gens = gens[lut[gens].min(axis=1) > 0]
     k, base = gens.shape[1], m // 2 + 2
@@ -434,6 +485,61 @@ def _span(gens: np.ndarray, m: int) -> np.ndarray:
     return group
 
 
+def _subgroup(gens, k: int, q: int) -> set[tuple[int, ...]]:
+    """The subgroup of ((Z/q)^x)^k that the unit tuples ``gens`` generate.
+
+    As in _span, adjoining g to a subgroup G gives the union of the cosets
+    g^i*G for i < j, the least power with g^j in G, built by doubling: if T
+    holds the first n cosets, T and g^n*T hold the first 2n, and T is the
+    whole union exactly when g^n lies in T.  So adjoining g takes about
+    log2(j) passes, each multiplying T a column at a time, and a g that
+    adds nothing costs one lookup.
+    """
+    group = {(1,) * k}
+    for power in gens:
+        while power not in group:
+            columns = zip(*group)
+            group.update(zip(*([x * y % q for x in col] for col, y in zip(columns, power))))
+            power = tuple(x * x % q for x in power)
+    return group
+
+
+def _prime_cosets(shape: _Shape, basis: list[list[int]], additive: list[int],
+                  factors: list[tuple[int, int]]) -> int:
+    """c, the number of cosets of {+-1}^k that det(K) meets, counted on
+    Python ints one prime power q = p^e of ``factors`` at a time, from the
+    lifts of S_q/pS_q and the generators det(1 + p^i b_j) of det(1 + pS_q),
+    as prod_q |D_q| over the number of sign tuples that lie in every D_q.
+    A sign tuple is kept as its entries' truth of s_i == 1, the same for
+    every q > 2; mod 2 every sign is 1, which lies in D_2."""
+    blocks, k = list(zip(shape.blocks, shape.offsets)), len(shape.blocks)
+    identity = [int(i == j) for r in shape.blocks for i in range(r) for j in range(r)]
+    met, signs = 1, None
+    for p, e in factors:
+        q = p**e
+        rows = [[x % q for x in row] for row, a in zip(basis, additive) if a % p == 0]
+        # the lifts as one list per entry, each row adding its p multiples
+        cols = [[0] for _ in identity]
+        for row in rows:
+            cols = [[x + c * b for c in range(p) for x in col] if b else col * p
+                    for col, b in zip(cols, row)]
+        lifts = zip(*(_laplace_lists(cols[off : off + r * r], r, q) for r, off in blocks))
+        found = set(filter(set(range(0, q, p)).isdisjoint, set(lifts)))
+        if e > 1:  # else pS_q = 0, the lifts are S_q and found is D_q
+            near = ([(u + p**i * b) % q for u, b in zip(identity, row)]
+                    for i in range(1, e) for row in rows)
+            steps = (tuple(_laplace(v[off : off + r * r], r, q) for r, off in blocks)
+                     for v in near)
+            found = _subgroup(chain(found, steps), k, q)
+        met *= len(found)
+        if q > 2 and signs is None and 2**k > len(found):  # scan D_q for signs
+            signs = {tuple(x == 1 for x in d) for d in filter({1, q - 1}.issuperset, found)}
+        elif q > 2:  # look the sign tuples still in the running up in D_q
+            pool = product((True, False), repeat=k) if signs is None else signs
+            signs = {s for s in pool if tuple(1 if t else q - 1 for t in s) in found}
+    return met // (1 if signs is None else len(signs))
+
+
 def _check_index(size: int) -> None:
     """Refuse a scan or probe of a subring of ``size`` elements, before
     either starts, when an index into it would leave int64."""
@@ -444,17 +550,18 @@ def _check_index(size: int) -> None:
         )
 
 
-def _probe(basis: np.ndarray, additive: list[int], m: int) -> np.ndarray:
+def _probe(basis: list[list[int]], additive: list[int], m: int) -> np.ndarray:
     """_PROBE elements of the subring, at the indices i*t mod |S| for i
     below _PROBE: t is the integer nearest |S|/phi for the golden ratio phi,
     raised to the next value prime to |S|, so the indices are distinct and
     spread evenly over the whole index space, leading digits included."""
+    import numpy as np
     size = prod(additive)
     stride = round(size * (5**0.5 - 1) / 2)
     while gcd(stride, size) != 1:
         stride += 1
     index = np.array([i * stride % size for i in range(_PROBE)], dtype=np.int64)
-    return matrices._combinations(basis, additive, index, m)
+    return matrices._combinations(np.array(basis, dtype=np.int64), additive, index, m)
 
 
 # -- public operations -------------------------------------------------------
@@ -524,7 +631,10 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
     ``cap`` bounds the number of subring elements and, past the whole-ring
     return, the r*2^(r-1) terms of the largest block's determinant; past
     that return a subring of 2^63 elements or more is refused whatever the
-    cap, as its indices would leave int64.
+    cap, as its indices would leave int64.  Where phi(m) = sigma(m) the
+    count is 1 from there.  A subring of at most _CHUNK elements is counted
+    prime by prime on Python ints, and a larger one by the probe and the
+    chunked scan of the numpy row kernel.
     The last 64 answers are kept, keyed by (spec, cap) as passed; a
     ResourceLimitError is raised again on each call, never kept.
     """
@@ -543,8 +653,13 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
             phase="determinant", needed=terms, cap=cap,
         )
     _check_index(size)
-    full = (totient(m) // sign_count(m)) ** k
-    if size > matrices._CHUNK and size >= full and (m // 2 + 2) ** k < 2**63:
+    factors = prime_powers(m)
+    full = (prod(p ** (e - 1) * (p - 1) for p, e in factors) // sign_count(m)) ** k
+    if full == 1:
+        return 1  # phi(m) = sigma(m): every unit is a sign, and Q is trivial
+    if size <= matrices._CHUNK:
+        return full // _prime_cosets(shape, basis, additive, factors)
+    if size >= full and (m // 2 + 2) ** k < 2**63:
         if len(_span(_block_dets(shape, _probe(basis, additive, m)), m)) == full:
             return 1
     dets = (_block_dets(shape, rows) for rows in _elements(shape, basis, additive))

@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from functools import lru_cache
@@ -36,7 +38,7 @@ from genuskit.orders import (
 )
 import genuskit.matrices as matrices
 import genuskit.orders as orders
-from genuskit.rings import sign_count, totient
+from genuskit.rings import prime_powers, sign_count, totient
 from test_matrices import leibniz_det
 
 
@@ -295,7 +297,9 @@ class TestSubringClosure:
         # the generators are the closure's first level; the reference starts
         # from the identity alone and reaches them as the products 1 * g, so
         # both insert the same vectors in the same order, and so does the
-        # closure when each level is multiplied in batches of 16 entries
+        # closure whether each level is multiplied on Python ints, within a
+        # chunk of multiply-adds, or by _mul_rows in batches of 64 entries
+        # or, with _CHUNK = 0, of one word
         def reference(shape, gen_rows, m):
             basis, width = {}, shape.width
             gens = np.array(gen_rows, dtype=np.int64).reshape(-1, width) % m
@@ -330,16 +334,18 @@ class TestSubringClosure:
             rows = [orders._mats_to_row(t) for t in spec.generators]
             want_rows, want_additive = reference(shape, rows, m)
             calls = []
-            for chunk in (1 << 15, 16):
+            for chunk in (1 << 15, 64, 0):
                 monkeypatch.setattr(matrices, "_CHUNK", chunk)
                 products.clear()
                 got_rows, got_additive = orders._closure(shape, rows, 10**30)
-                assert got_rows.tolist() == want_rows, (spec, chunk)
+                assert got_rows == want_rows, (spec, chunk)
                 assert got_additive == want_additive, (spec, chunk)
                 assert all(n <= max(chunk, len(rows) * shape.width) for n in products)
                 calls.append(len(products))
+            # these levels all fit one chunk of multiply-adds
+            assert calls[0] == 0, spec
             composite += m in (4, 6, 8, 9, 10, 12)
-            batched += calls[1] > calls[0]
+            batched += calls[2] > calls[1] > 0
         assert composite >= 100 and batched >= 20, (composite, batched)
 
     def test_chunk_size_and_enumerator_live_in_the_row_kernel(self):
@@ -1022,14 +1028,20 @@ def spy(monkeypatch, name, module=orders):
 
 def brute_cosets(spec):
     """The cosets of {+-1}^k that det(K) meets, each as a tuple of the sets
-    {d, -d} mod m, from det on Python ints over every element of
-    subring_closure; nothing of the genus route past the closure."""
+    {d, -d} mod m, from the Laplace expansion on Python ints over every
+    element that the closure's enumerator yields, as subring_closure does;
+    nothing of the genus route past the closure."""
     m = spec.m
+    shape = matrices._shape(m, spec.blocks)
+    rows = [orders._mats_to_row(t) for t in spec.generators]
+    basis, additive = orders._closure(shape, rows, 10**6)
+    blocks = list(zip(shape.blocks, shape.offsets))
     met = set()
-    for tup in subring_closure(spec, cap=10**6):
-        d = [det(x).value for x in tup]
-        if all(gcd(x, m) == 1 for x in d):
-            met.add(tuple(frozenset({x, -x % m}) for x in d))
+    for chunk in matrices._elements(shape, basis, additive):
+        for row in chunk.tolist():
+            d = [matrices._laplace(row[off : off + r * r], r, m) for r, off in blocks]
+            if all(gcd(x, m) == 1 for x in d):
+                met.add(tuple(frozenset({x, -x % m}) for x in d))
     return met
 
 
@@ -1073,9 +1085,11 @@ class TestShortcuts:
 
     @pytest.mark.parametrize("spec", WHOLE_RINGS, ids=["3@5", "1,2@9"])
     def test_closure_stops_once_the_span_is_whole(self, monkeypatch, spec):
-        # no words are multiplied once every pivot is 1
+        # no words are multiplied once every pivot is 1: on Python ints, as
+        # these levels fit one chunk of multiply-adds, and by _mul_rows when
+        # _CHUNK = 0 sends every level there
         whole, products = [False], []
-        real_insert, real_mul = orders._insert, orders._mul_rows
+        real_insert = orders._insert
         width = sum(r * r for r in spec.blocks)
 
         def insert(basis, m, v):
@@ -1083,14 +1097,19 @@ class TestShortcuts:
             whole[0] = len(basis) == width and all(d == 1 for _, d in basis.values())
             return grew
 
-        def mul_rows(*args):
-            products.append(whole[0])
-            return real_mul(*args)
-
         monkeypatch.setattr(orders, "_insert", insert)
-        monkeypatch.setattr(orders, "_mul_rows", mul_rows)
-        assert subring_size(spec) == spec.m**width
-        assert whole[0] and products and not any(products)
+        for chunk, name in ((matrices._CHUNK, "_mul_lists"), (0, "_mul_rows")):
+            monkeypatch.setattr(matrices, "_CHUNK", chunk)
+            real_mul = getattr(orders, name)
+
+            def mul(*args, real_mul=real_mul):
+                products.append(whole[0])
+                return real_mul(*args)
+
+            whole[0], products[:] = False, []
+            monkeypatch.setattr(orders, name, mul)
+            assert subring_size(spec) == spec.m**width
+            assert whole[0] and products and not any(products), name
 
     @pytest.mark.parametrize("spec", BIG_TRIANGULAR, ids=["2@36", "2,2@9"])
     def test_probe_settles_a_proper_subring(self, monkeypatch, spec):
@@ -1101,11 +1120,17 @@ class TestShortcuts:
 
     @pytest.mark.parametrize("spec", TRIANGULAR, ids=["2@12", "2,2@5"])
     def test_one_chunk_subring_takes_no_probe(self, monkeypatch, spec):
-        # 1,728 and 3,125 elements: one chunk, whose scan costs less than a
-        # probe, and the brute force agrees on genus 1
+        # 1,728 and 3,125 elements: one chunk, counted prime by prime with
+        # neither a probe nor the numpy scan, and the brute force agrees on
+        # genus 1; with _CHUNK = 0 the numpy route, probe and scan, agrees
         assert subring_size(spec) <= matrices._CHUNK
         assert brute_genus(spec) == 1
-        forbid(monkeypatch, "_probe", "_span")
+        with monkeypatch.context() as patch:
+            forbid(patch, "_probe", "_span", "_elements", "_block_dets")
+            assert genus(spec).total == 1
+        genus_relative.cache_clear()
+        monkeypatch.setattr(matrices, "_CHUNK", 0)
+        forbid(monkeypatch, "_prime_cosets")
         assert genus(spec).total == 1
 
     def test_genus_above_one_takes_the_full_scan(self, monkeypatch):
@@ -1118,9 +1143,17 @@ class TestShortcuts:
     def test_small_pullback_takes_no_products_and_no_combinations(self, monkeypatch):
         # the generator (1, 1) is the identity, which the first level finds
         # in the span, and the m scalars make one chunk: the genus takes no
-        # blockwise product and no mixed-radix combination
-        forbid(monkeypatch, "_mul_rows")
-        forbid(monkeypatch, "_combinations", module=matrices)
+        # blockwise product and nothing of the numpy row kernel; with
+        # _CHUNK = 0 the numpy route takes no product either, and agrees
+        forbid(monkeypatch, "_mul_rows", "_mul_lists")
+        with monkeypatch.context() as patch:
+            forbid(patch, "_elements", "_block_dets", "_count")
+            forbid(patch, "_combinations", module=matrices)
+            for m in range(2, 161):
+                assert genus(pullback_spec(m)).total == genus_pullback_formula(m), m
+        genus_relative.cache_clear()
+        monkeypatch.setattr(matrices, "_CHUNK", 0)
+        forbid(monkeypatch, "_prime_cosets")
         for m in range(2, 161):
             assert genus(pullback_spec(m)).total == genus_pullback_formula(m), m
 
@@ -1141,16 +1174,18 @@ class TestShortcuts:
 
     def test_shortcuts_match_the_scan(self, monkeypatch):
         # a diagonal copy repeats one generator in every block, which gives
-        # genus > 1; with 64-row chunks the probe runs on subrings small
-        # enough for the brute force
+        # genus > 1; with 64-row chunks the probe and the numpy scan run on
+        # subrings small enough for the brute force, and those of at most
+        # 64 elements are counted prime by prime
         monkeypatch.setattr(matrices, "_CHUNK", 64)
         spans, dets = spy(monkeypatch, "_span"), spy(monkeypatch, "_block_dets")
+        primes = spy(monkeypatch, "_prime_cosets")
         rng = random.Random(2024)
         shapes = [((2,), (8, 9, 10, 12)), ((1, 2), (5, 6, 7)),
                   ((1, 1, 1), (12, 24, 30)), ((2, 2), (3, 4, 5, 6, 7, 8)),
                   ((3,), (3,)), ((1, 1, 1, 1), (6, 10)), ((1, 1), (10, 12, 30))]
         seen = {"whole": 0, "probed, one": 0, "probed, above one": 0,
-                "several chunks": 0}
+                "several chunks": 0, "prime by prime": 0}
         for _ in range(300):
             blocks, levels = rng.choice(shapes)
             m = rng.choice(levels)
@@ -1165,10 +1200,11 @@ class TestShortcuts:
             size = subring_size(spec)
             if size > 2_000:
                 continue
-            spans.clear()
-            dets.clear()
+            for calls in (spans, dets, primes):
+                calls.clear()
             got = genus_relative.__wrapped__(spec)
             assert got == brute_genus(spec), spec
+            seen["prime by prime"] += bool(primes)
             seen["whole"] += size == m ** sum(r * r for r in blocks)
             seen["several chunks"] += len(dets) - len(spans) > 1  # a probe takes one
             seen["probed, one"] += bool(spans) and got == 1
@@ -1229,9 +1265,10 @@ class TestShortcuts:
 
 
 # the shapes of the matrix-orders and big-ambient benchmark workloads, whose
-# coset counts all mark the map: at most 302^2 codes, (1,1)@600, and
-# 52^3, (1,1,1)@100, against the 8*_CHUNK = 262,144 bytes of one int64
-# column of a chunk
+# subrings all fit one chunk; counted by the numpy route, their cosets
+# would all mark the map: at most 302^2 codes, (1,1)@600, and 52^3,
+# (1,1,1)@100, against the 8*_CHUNK = 262,144 bytes of one int64 column
+# of a chunk
 BENCH_SHAPES = [
     *(((2,), m) for m in (5, 7, 8, 9, 10, 12, 13, 16, 20, 24)),
     *(((1, 2), m) for m in (5, 7, 8, 9)),
@@ -1243,29 +1280,45 @@ BENCH_SHAPES = [
 
 class TestCosetCount:
     def test_route_matches_brute_force_sweep(self, monkeypatch):
-        # 1,000 seeded specs at composite m <= 60 and m = 1, 2, each small
-        # enough for the brute force; chunks of 8, 64 and the default
-        # rows take both containers, the probe, and scans without it
+        # 1,000 seeded specs at composite m <= 60 and m = 1, 2, of at most
+        # 2,000 elements: the count prime by prime, at the default _CHUNK,
+        # against the numpy route, forced with _CHUNK below |S| (8, 64 or
+        # |S| - 1 rows), and both against the brute force; the numpy runs
+        # take both containers, the probe, scans without it and several
+        # chunks, and the prime runs every kind of level
         rng = random.Random(1701)
         levels = [1, 2] + [m for m in range(4, 61)
                            if any(m % p == 0 for p in range(2, m))]
-        shapes = [(1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 2), (1, 1, 1),
-                  (1, 1, 1, 1)]
+        shapes = [(1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 2), (1, 3),
+                  (1, 1, 1), (1, 1, 1, 1)]
         spans, merges = spy(monkeypatch, "_span"), spy(monkeypatch, "_distinct_rows")
         counts, dets = spy(monkeypatch, "_count"), spy(monkeypatch, "_block_dets")
+        primes = spy(monkeypatch, "_prime_cosets")
         seen = {"map": 0, "sorted": 0, "probe settles": 0, "probe fails": 0,
-                "several chunks": 0}
+                "several chunks": 0, "prime, above one": 0, "prime square": 0,
+                "several primes": 0}
         checked = 0
         while checked < 1000:
             spec = random_spec(rng, rng.choice(levels), rng.choice(shapes),
                                n_gens=rng.randint(0, 2))
-            if subring_size(spec) > 400:
+            size = subring_size(spec)
+            if size > 2_000:
                 continue
-            monkeypatch.setattr(matrices, "_CHUNK", (8, 64, 1 << 15)[checked % 3])
-            for calls in (spans, merges, counts, dets):
-                calls.clear()
+            monkeypatch.setattr(matrices, "_CHUNK", 1 << 15)
+            primes.clear()
             got = genus_relative.__wrapped__(spec)
             assert got == brute_genus(spec), spec
+            if primes and got > 1:
+                factors = prime_powers(spec.m)
+                seen["prime, above one"] += 1
+                seen["prime square"] += any(e > 1 for _, e in factors)
+                seen["several primes"] += len(factors) > 1
+            chunk = min((8, 64, size - 1)[checked % 3], size - 1)
+            monkeypatch.setattr(matrices, "_CHUNK", chunk)
+            for calls in (spans, merges, counts, dets, primes):
+                calls.clear()
+            assert genus_relative.__wrapped__(spec) == got, spec
+            assert not primes
             seen["map"] += bool(counts) and not merges
             seen["sorted"] += bool(merges)
             seen["probe settles"] += bool(spans) and not counts
@@ -1350,13 +1403,95 @@ class TestCosetCount:
     @pytest.mark.parametrize("blocks, m", BENCH_SHAPES,
                              ids=[f"{b}@{m}" for b, m in BENCH_SHAPES])
     def test_bench_shapes_take_their_container(self, monkeypatch, blocks, m):
-        # the scalars of each benchmark shape, scanned in one chunk, mark
-        # the map and sort nothing
-        merges = spy(monkeypatch, "_distinct_rows")
-        counts = spy(monkeypatch, "_count")
+        # the scalars of each benchmark shape make one chunk, counted prime
+        # by prime without the numpy scan; scanned by the numpy route, in
+        # one chunk, their determinants mark the map and sort nothing
         spec = OrderSpec(m=m, blocks=blocks, generators=())
-        assert genus(spec).total == brute_genus(spec)
-        assert len(counts) == 1 and not merges
+        want = brute_genus(spec)
+        with monkeypatch.context() as patch:
+            forbid(patch, "_count", "_elements", "_block_dets")
+            assert genus(spec).total == want
+        merges = spy(monkeypatch, "_distinct_rows")
+        shape = matrices._shape(m, blocks)
+        basis, additive = orders._closure(shape, [], 10**6)
+        dets = [matrices._block_dets(shape, c)
+                for c in matrices._elements(shape, basis, additive)]
+        assert len(dets) == 1
+        count = orders._count(m, len(blocks), dets, prod(additive))
+        assert count == len(brute_cosets(spec)) and not merges
+
+
+class TestPrimeRoute:
+    @pytest.mark.parametrize("spec, total", [
+        (pullback_spec(15), 4), (pullback_spec(21), 6), (pullback_spec(35), 12),
+        (matrix_pullback_spec(15, 2), 4),
+    ], ids=["pullback15", "pullback21", "pullback35", "matrix15"])
+    def test_signs_are_shared_across_primes(self, monkeypatch, spec, total):
+        # det(K) is the diagonal of ((Z/m)^x)^2, which meets only the sign
+        # pairs (1, 1) and (-1, -1) of {+-1}^2 as a whole, though mod each
+        # prime of m it meets as many; each spec is counted prime by prime
+        # at _CHUNK = |S| and by the numpy route one below
+        primes = spy(monkeypatch, "_prime_cosets")
+        size = subring_size(spec)
+        for chunk in (size, size - 1):
+            monkeypatch.setattr(matrices, "_CHUNK", chunk)
+            genus_relative.cache_clear()
+            primes.clear()
+            assert genus(spec).total == total
+            assert bool(primes) == (chunk == size)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+    def test_levels_with_one_unit_coset_have_genus_one(self, monkeypatch, m):
+        # phi(m) = sigma(m): Q is trivial, and the count is 1 with neither
+        # route, once the closure and the determinant terms are within the
+        # cap; no determinant is planned, not even of a 16x16 block
+        forbid(monkeypatch, "_prime_cosets", "_probe", "_elements")
+        forbid(monkeypatch, "_laplace_plan", module=matrices)
+        rng = random.Random(m)
+        for blocks in [(16,), (1, 1), (2,), (1, 2), (3,)]:
+            spec = random_spec(rng, m, blocks, n_gens=rng.randint(0, 2))
+            assert genus(spec).total == 1, spec
+
+    def test_one_chunk_queries_import_no_numpy(self, subprocess_env, tmp_path):
+        # the test modules import numpy themselves, so the queries run in a
+        # fresh interpreter: one genus per shape of the matrix-orders and
+        # big-ambient benchmark workloads, and the CLI verbs of catalog
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(order_spec_to_dict(spec_1x1(12, [(1, 5)]))))
+        script = f"""
+import contextlib, io, sys
+import genuskit, genuskit.cli
+from genuskit import MatModM, OrderSpec, genus
+for blocks, m in {[tuple(x) for x in BENCH_SHAPES]!r}:
+    gen = tuple(MatModM(m, r, [2 * (i == j) + (i + 1 == j) for i in range(r)
+                               for j in range(r)]) for r in blocks)
+    genus(OrderSpec(m=m, blocks=blocks, generators=(gen,)))
+for argv in (["genus-pullback", "35"], ["genus-atom", "A(5)@6"], ["table-A"],
+             ["genus-order", {str(spec_path)!r}],
+             ["check", "--only", "same-genus-classes"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert genuskit.cli.main(argv + ["--json"]) == 0, argv
+assert "numpy" not in sys.modules
+"""
+        run = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+
+    @pytest.mark.parametrize("call, answer", [
+        ("len(genuskit.enumerate_gl(2, 3))", 48),
+        ("genuskit.genus(genuskit.matrix_pullback_spec(15, 2)).total", 4),
+    ], ids=["gl", "above-one-chunk"])
+    def test_the_row_kernel_imports_numpy(self, subprocess_env, call, answer):
+        script = f"""
+import sys
+import genuskit
+assert "numpy" not in sys.modules
+assert {call} == {answer}
+assert "numpy" in sys.modules
+"""
+        run = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
 
 class TestResourceLimitFields:
