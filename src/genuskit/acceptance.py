@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 from . import atoms as atoms_mod
 from . import matrices as matrices_mod
 from . import orders as orders_mod
 from .cosets import FiniteGroup, direct_product, double_coset_partition, subgroup_closure
+from .errors import Frozen
 from .matrices import DEFAULT_CAP, MatModM
 from .rings import gcd, is_sign, sign_count, totient, unit_group
 
@@ -23,8 +23,8 @@ _SEED_BOUND = 0x5EED
 _SEED_PARTITION = 0xD1CE
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Frozen):
+    __slots__ = ("name", "passed", "expected", "actual", "elapsed_s")
     name: str
     passed: bool
     expected: str

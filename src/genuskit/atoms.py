@@ -11,10 +11,10 @@ the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+from .errors import Frozen
 from .matrices import DEFAULT_CAP
 from .orders import genus, pullback_spec
 from .rings import gcd
@@ -31,8 +31,8 @@ class AtomKind(Enum):
     ATOM_A = "atom-a"                  # A(v)
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(Frozen):
+    __slots__ = ("params", "least", "min_top_dim", "wedge", "template")
     params: tuple[str, ...]      # parameter fields the kind takes
     least: int                   # least value each of them may take
     min_top_dim: int
@@ -56,18 +56,19 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Frozen):
     """One catalog atom; ``top_dim`` is the suspension index n."""
 
+    __slots__ = ("kind", "top_dim", "a", "r", "s", "v")
     kind: AtomKind
     top_dim: int
-    a: int | None = None
-    r: int | None = None
-    s: int | None = None
-    v: int | None = None
+    a: int | None
+    r: int | None
+    s: int | None
+    v: int | None
+    _defaults = dict.fromkeys(("a", "r", "s", "v"))
 
-    def __post_init__(self):
+    def _validate(self):
         row = _KINDS[self.kind]
         for field in ("a", "r", "s", "v"):
             if (getattr(self, field) is None) == (field in row.params):
@@ -130,18 +131,19 @@ def atom_a(v: int, top_dim: int | None = None) -> Atom:
     return Atom(AtomKind.ATOM_A, _dim(AtomKind.ATOM_A, top_dim), v=v)
 
 
-@dataclass(frozen=True)
-class EndoDescription:
+class EndoDescription(Frozen):
     """Shape of the reduced endomorphism ring of an atom.
 
     ``kind`` is one of "torsion", "integers", "pullback"; a pullback carries
     the congruence level of the pair ring it identifies with.
     """
 
+    __slots__ = ("kind", "level")
     kind: str
-    level: int | None = None
+    level: int | None
+    _defaults = {"level": None}
 
-    def __post_init__(self):
+    def _validate(self):
         if self.kind not in ("torsion", "integers", "pullback"):
             raise ValueError(f"unknown endomorphism kind {self.kind!r}")
         if self.kind == "pullback":
@@ -325,4 +327,5 @@ def parse_atom(text: str) -> Atom:
 
 def format_atom(atom: Atom) -> str:
     """Canonical grammar name of an atom; inverse of parse_atom."""
-    return _KINDS[atom.kind].template.format(n=atom.top_dim, **vars(atom))
+    return _KINDS[atom.kind].template.format(n=atom.top_dim, a=atom.a, r=atom.r,
+                                             s=atom.s, v=atom.v)

@@ -1,15 +1,16 @@
 """Generic finite-group machinery: subgroup closures and double cosets.
 
 Group elements are opaque: anything hashable with value equality works
-(ints, tuples, frozen dataclasses).  The engine only combines elements via
+(ints, tuples, frozen values).  The engine only combines elements via
 the group operation and compares them by hash/equality, so the same code
 serves residues, residue pairs and tuples of matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
+
+from .errors import Frozen
 
 Element = Hashable
 
@@ -18,21 +19,25 @@ Element = Hashable
 SUBGROUP_VERIFY_LIMIT = 10_000
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """A finite group: explicit carrier set, binary operation, identity.
 
     The carrier is expected to be closed under ``op`` with two-sided
     inverses; construction only checks that the identity is present.
-    ``check_axioms`` verifies the rest exhaustively on small groups.
+    ``check_axioms`` verifies the rest exhaustively on small groups.  A
+    group equals only itself.
     """
 
+    __slots__ = ("carrier", "op", "identity", "name")
     carrier: frozenset
     op: Callable[[Element, Element], Element]
     identity: Element
-    name: str = ""
+    name: str
+    _defaults = {"name": ""}
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
+    def _validate(self):
         if self.identity not in self.carrier:
             raise ValueError("identity element is not in the carrier")
 

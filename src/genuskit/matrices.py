@@ -10,13 +10,12 @@ first call, so a process that never reaches it never loads numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import prod
 
 from .cosets import FiniteGroup
-from .errors import ResourceLimitError
+from .errors import Frozen, ResourceLimitError
 from .rings import Residue, prime_powers, sign_count, totient
 
 # Default cap.  For enumerate_gl and stable_image it bounds m^(r^2), the
@@ -30,26 +29,48 @@ from .rings import Residue, prime_powers, sign_count, totient
 DEFAULT_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
-class MatModM:
+class MatModM(Frozen):
     """An r x r matrix over Z/m with row-major, canonically reduced entries."""
 
+    __slots__ = ("modulus", "size", "entries")
     modulus: int
     size: int
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        if self.size < 1:
-            raise ValueError(f"matrix size must be >= 1, got {self.size}")
-        entries = tuple(int(e) % self.modulus for e in self.entries)
-        if len(entries) != self.size * self.size:
+    def __init__(self, modulus: int, size: int, entries):
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        if size < 1:
+            raise ValueError(f"matrix size must be >= 1, got {size}")
+        entries = tuple(int(e) % modulus for e in entries)
+        if len(entries) != size * size:
             raise ValueError(
-                f"expected {self.size * self.size} entries for a "
-                f"{self.size}x{self.size} matrix, got {len(entries)}"
+                f"expected {size * size} entries for a "
+                f"{size}x{size} matrix, got {len(entries)}"
             )
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "size", size)
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _trusted(cls, modulus: int, size: int, entries: tuple[int, ...]) -> "MatModM":
+        """A matrix from entries already reduced into 0..modulus-1, unchecked."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "modulus", modulus)
+        object.__setattr__(mat, "size", size)
+        object.__setattr__(mat, "entries", entries)
+        return mat
+
+    # spelled out, as the shared versions are slower and the generic
+    # double-coset engine hashes and compares matrices in bulk
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.modulus, self.size, self.entries)
+                == (other.modulus, other.size, other.entries))
+
+    def __hash__(self):
+        return hash((self.modulus, self.size, self.entries))
 
     @classmethod
     def from_rows(cls, rows, modulus: int) -> "MatModM":
@@ -87,7 +108,8 @@ def mat_mul(a: MatModM, b: MatModM) -> MatModM:
         raise ValueError(f"modulus mismatch: {a.modulus} vs {b.modulus}")
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    return MatModM(a.modulus, a.size, _matmul(a.entries, b.entries, a.size))
+    m, r = a.modulus, a.size
+    return MatModM._trusted(m, r, tuple([e % m for e in _matmul(a.entries, b.entries, r)]))
 
 
 def _matmul(x, y, r: int) -> list[int]:
@@ -211,8 +233,8 @@ def elementary_generators(r: int, m: int) -> list[MatModM]:
 _CHUNK = 1 << 15
 
 
-@dataclass(frozen=True)
-class _Shape:
+class _Shape(Frozen):
+    __slots__ = ("m", "blocks", "offsets", "width")
     m: int
     blocks: tuple[int, ...]
     offsets: tuple[int, ...]

@@ -38,7 +38,6 @@ without a closure or a scan.  A refusal raises and is never kept.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 from math import gcd, prod
@@ -46,15 +45,14 @@ from pathlib import Path
 
 from . import matrices
 from .cosets import FiniteGroup
-from .errors import InternalInconsistencyError, ResourceLimitError
+from .errors import Frozen, InternalInconsistencyError, ResourceLimitError
 from .matrices import (DEFAULT_CAP, MatModM, _block_dets, _distinct_rows, _elements,
                        _laplace, _laplace_lists, _matmul, _mul_rows, _Shape, _shape,
                        det, mat_mul)
 from .rings import ext_gcd, prime_powers, sign_count, totient
 
 
-@dataclass(frozen=True)
-class OrderSpec:
+class OrderSpec(Frozen):
     """An order given by conductor level, block sizes and subring generators.
 
     ``generators`` holds tuples of matrices, one entry per block; the
@@ -62,20 +60,20 @@ class OrderSpec:
     the order in the quotient of the maximal order at level m.
     """
 
+    __slots__ = ("m", "blocks", "generators")
     m: int
     blocks: tuple[int, ...]
     generators: tuple[tuple[MatModM, ...], ...]
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"conductor level must be >= 1, got {self.m}")
-        blocks = tuple(int(r) for r in self.blocks)
+    def __init__(self, m: int, blocks, generators):
+        if m < 1:
+            raise ValueError(f"conductor level must be >= 1, got {m}")
+        blocks = tuple(int(r) for r in blocks)
         if not blocks:
             raise ValueError("an order needs at least one matrix block")
         if any(r < 1 for r in blocks):
             raise ValueError(f"block sizes must be >= 1, got {blocks}")
-        object.__setattr__(self, "blocks", blocks)
-        gens = tuple(tuple(t) for t in self.generators)
+        gens = tuple(tuple(t) for t in generators)
         for idx, tup in enumerate(gens):
             if len(tup) != len(blocks):
                 raise ValueError(
@@ -85,25 +83,44 @@ class OrderSpec:
             for mat, r in zip(tup, blocks):
                 if not isinstance(mat, MatModM):
                     raise ValueError(f"generator {idx} contains {mat!r}")
-                if mat.modulus != self.m or mat.size != r:
+                if mat.modulus != m or mat.size != r:
                     raise ValueError(
                         f"generator {idx} has a {mat.size}x{mat.size} matrix "
-                        f"mod {mat.modulus}; expected {r}x{r} mod {self.m}"
+                        f"mod {mat.modulus}; expected {r}x{r} mod {m}"
                     )
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "generators", gens)
+
+    # spelled out for speed, as in MatModM: the memo of genus_relative
+    # hashes and compares every spec it is asked
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.m, self.blocks, self.generators)
+                == (other.m, other.blocks, other.generators))
+
+    def __hash__(self):
+        return hash((self.m, self.blocks, self.generators))
 
     def identity_tuple(self) -> tuple[MatModM, ...]:
         return tuple(MatModM.identity(r, self.m) for r in self.blocks)
 
 
-@dataclass(frozen=True)
-class GenusResult:
+class GenusResult(Frozen):
     """Genus of an order, split into the factors that build it."""
 
+    __slots__ = ("relative_count", "maximal_count", "total", "bound")
     relative_count: int
     maximal_count: int
     total: int
     bound: int
+
+    def __init__(self, relative_count: int, maximal_count: int, total: int, bound: int):
+        object.__setattr__(self, "relative_count", relative_count)
+        object.__setattr__(self, "maximal_count", maximal_count)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "bound", bound)
 
 
 def genus_pullback_formula(m: int) -> int:

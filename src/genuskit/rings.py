@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .cosets import FiniteGroup
-from .errors import ResourceLimitError
+from .errors import Frozen, ResourceLimitError
 
 
 def gcd(a: int, b: int) -> int:
@@ -88,17 +87,18 @@ def inverse_mod(a: int, m: int) -> int | None:
     return x % m
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(Frozen):
     """An element of Z/m, stored in the canonical range 0..m-1."""
 
+    __slots__ = ("value", "modulus")
     value: int
     modulus: int
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
+    def __init__(self, value: int, modulus: int):
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        object.__setattr__(self, "value", int(value) % modulus)
+        object.__setattr__(self, "modulus", modulus)
 
     def _same_ring(self, other: "Residue") -> None:
         if self.modulus != other.modulus:

@@ -396,6 +396,16 @@ class TestEntryPoint:
                               text=True, env=subprocess_env)
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
+    def test_import_loads_no_heavy_modules(self, subprocess_env):
+        # -S skips site, whose .pth files may import typing before genuskit
+        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+                 "numpy", "argparse"}
+        code = (f"import sys, genuskit, genuskit.cli; "
+                f"print(sorted({heavy!r} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=subprocess_env)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
     @pytest.mark.parametrize("argv, status", [([], 1), (["--help"], 0)])
     def test_arguments_come_from_sys_argv(self, subprocess_env, argv, status):
         proc = subprocess.run([sys.executable, "-m", "genuskit", *argv],
