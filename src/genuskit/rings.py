@@ -94,11 +94,10 @@ class Residue(Frozen):
     value: int
     modulus: int
 
-    def __init__(self, value: int, modulus: int):
-        if modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {modulus}")
-        object.__setattr__(self, "value", int(value) % modulus)
-        object.__setattr__(self, "modulus", modulus)
+    def _validate(self) -> None:
+        if self.modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
+        object.__setattr__(self, "value", int(self.value) % self.modulus)
 
     def _same_ring(self, other: "Residue") -> None:
         if self.modulus != other.modulus:

@@ -390,16 +390,10 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "brute=2 formula=2"
 
     def test_import_loads_no_argparse(self, subprocess_env):
-        code = ("import sys, genuskit.cli; "
-                "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=subprocess_env)
-        assert (proc.returncode, proc.stdout) == (0, "[]\n")
-
-    def test_import_loads_no_heavy_modules(self, subprocess_env):
+        # argparse and the other modules genuskit's import has no use for;
         # -S skips site, whose .pth files may import typing before genuskit
-        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
-                 "numpy", "argparse"}
+        heavy = {"argparse", "gettext", "dataclasses", "inspect", "ast", "dis",
+                 "tokenize", "typing", "numpy"}
         code = (f"import sys, genuskit, genuskit.cli; "
                 f"print(sorted({heavy!r} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,

@@ -72,14 +72,11 @@ def test_equal_and_hashed_by_fields(cls):
     assert len({positional, keyword, other}) == 2
 
 
-@VALUE_CASES
-def test_not_equal_to_the_tuple_of_its_fields(cls):
-    x = CASES[cls][0]()
+@pytest.mark.parametrize("make", [*(cases[0] for cases in CASES.values()), lambda: one(5)],
+                         ids=[*(cls.__name__ for cls in CASES), "MatModM-1x1"])
+def test_not_equal_to_the_tuple_of_its_fields(make):
+    x = make()
     assert x != fields(x) and fields(x) != x
-
-
-def test_matrix_is_not_its_field_tuple():
-    assert MatModM(5, 1, (1,)) != (5, 1, (1,))
 
 
 @EVERY_CLASS

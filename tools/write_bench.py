@@ -3,14 +3,14 @@ or more checkouts, each a median and quartiles over seeded benchmark runs.
 
 Usage, from the root of a checkout:
 
-    python3 tools/write_bench.py --pr 23 [--seconds 8] [--rounds 3]
-        [--seeds 1 2 3] [--held-out 11] [CHECKOUT ...]
+    python3 tools/write_bench.py --pr 23 [CHECKOUT ...]
 
 Each CHECKOUT (default: this repository) is a git checkout whose own
-``perfbench/run.py --trace 0`` is run for every workload on every seed,
-``--rounds`` times.  The runs of all checkouts are interleaved, and the
-order of the checkouts alternates from one (round, seed) to the next, so
-that drift in the machine's load falls on every side alike.  Every run has
+``perfbench/run.py --seconds 8 --trace 0`` is run for every workload on
+the fixed seeds 1, 2 and 3 and the held-out seed 11, four times each.
+The runs of all checkouts are interleaved, and the order of the checkouts
+alternates from one (round, seed) to the next, so that drift in the
+machine's load falls on every side alike.  Every run has
 ``PYTHONDONTWRITEBYTECODE=1`` and starts from no ``__pycache__``, as a
 first run after a checkout does: a stale bytecode cache lowers
 ``setup_s``.  The fixed seeds and the held-out seed are summarised apart,
@@ -33,25 +33,18 @@ from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 8  # --seconds of each perfbench run
+ROUNDS = 4  # runs of each checkout per workload and seed
+SEEDS = (1, 2, 3)
+HELD_OUT = 11
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True,
                         help="number in the name of the file written")
-    parser.add_argument("--seconds", type=int, default=8,
-                        help="--seconds of each perfbench run")
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="runs of each checkout per workload and seed")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--held-out", type=int, default=11)
     parser.add_argument("checkouts", nargs="*", type=Path, default=[ROOT])
-    args = parser.parse_args(argv)
-    if args.held_out in args.seeds:
-        parser.error("the held-out seed must not be one of the fixed seeds")
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2, for quartiles of the held-out seed")
-    return args
+    return parser.parse_args(argv)
 
 
 def git_sha(checkout: Path) -> tuple[str, bool]:
@@ -67,12 +60,12 @@ def clear_bytecode(checkout: Path) -> None:
         shutil.rmtree(cache)
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int) -> dict:
     """The result object that ``perfbench/run.py`` prints last."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -91,17 +84,17 @@ def main(argv=None) -> int:
     for checkout in checkouts:
         clear_bytecode(checkout)
 
-    seeds = [*args.seeds, args.held_out]
+    seeds = [*SEEDS, HELD_OUT]
     # runs[checkout][workload][seed] lists one result object per round
     runs = [{w: {s: [] for s in seeds} for w in workloads} for _ in checkouts]
-    for rnd in range(args.rounds):
+    for rnd in range(ROUNDS):
         for i, seed in enumerate(seeds):
             order = list(range(len(checkouts)))
             if (rnd + i) % 2:
                 order.reverse()
             for workload in workloads:
                 for c in order:
-                    result = run_bench(checkouts[c], workload, seed, args.seconds)
+                    result = run_bench(checkouts[c], workload, seed)
                     runs[c][workload][seed].append(result)
                     print(f"round {rnd} seed {seed} {workload} checkout {c}: "
                           + ", ".join(f"{name} {result['metrics'][name]['value']:.4g}"
@@ -111,11 +104,11 @@ def main(argv=None) -> int:
         return [r["metrics"][name]["value"]
                 for s in seed_set for r in runs[c][workload][s]]
 
-    groups = {"fixed": args.seeds, "held_out": [args.held_out]}
+    groups = {"fixed": SEEDS, "held_out": [HELD_OUT]}
     out = {
         "pr": args.pr,
         "command": ("python3 perfbench/run.py --workload W --seed S "
-                    f"--seconds {args.seconds} --trace 0"),
+                    f"--seconds {SECONDS} --trace 0"),
         "environment": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
@@ -123,8 +116,8 @@ def main(argv=None) -> int:
             "machine": platform.machine(),
             "PYTHONDONTWRITEBYTECODE": "1",
         },
-        "seeds": {"fixed": args.seeds, "held_out": args.held_out},
-        "rounds": args.rounds,
+        "seeds": {"fixed": list(SEEDS), "held_out": HELD_OUT},
+        "rounds": ROUNDS,
         "checkouts": [],
     }
     for c, checkout in enumerate(checkouts):
