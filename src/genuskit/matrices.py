@@ -240,6 +240,12 @@ class _Shape(Frozen):
     offsets: tuple[int, ...]
     width: int
 
+    def __init__(self, m: int, blocks: tuple[int, ...], offsets: tuple[int, ...], width: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "width", width)
+
 
 @lru_cache(maxsize=64)
 def _shape(m: int, blocks: tuple[int, ...]) -> _Shape:

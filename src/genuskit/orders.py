@@ -116,6 +116,12 @@ class GenusResult(Frozen):
     total: int
     bound: int
 
+    def __init__(self, relative_count: int, maximal_count: int, total: int, bound: int):
+        object.__setattr__(self, "relative_count", relative_count)
+        object.__setattr__(self, "maximal_count", maximal_count)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "bound", bound)
+
 
 def genus_pullback_formula(m: int) -> int:
     """Closed form for the genus of the congruence pullback of Z x Z at m."""
