@@ -1,11 +1,12 @@
 """Square matrices over Z/m: products, determinants, GL(r, Z/m) and the
 subgroup generated by elementary matrices (the mod-m image of the global
-unit group of the integer matrix ring), plus the int64 row kernel, whose one
-enumerator and one table of units per level serve GL and the subrings of
-:mod:`genuskit.orders` above one chunk.  Determinants of every size take one
-division-free Laplace expansion, on Python ints in ``det``, on columns of
-Python ints and on int64 columns.  The row kernel imports numpy on its
-first call, so a process that never reaches it never loads numpy.
+unit group of the integer matrix ring), and the orders of both in closed
+form.  Determinants of every size take one division-free Laplace
+expansion, on Python ints in ``det``, on columns of Python ints and on the
+int64 columns of the row kernel.  The enumerations of the two groups run
+on that kernel, :mod:`genuskit.kernel`, which they import on their first
+call, so a process that never enumerates a group loads neither that
+module nor numpy here.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def elementary_generators(r: int, m: int) -> list[MatModM]:
     return transvections + [identity_with(0, m - 1)]
 
 
-# -- row kernel ---------------------------------------------------------------
+# -- rows and the chunk ------------------------------------------------------
 #
 # Internally an element of prod_i Mat(r_i, Z/m) is one row: the row-major
 # entries of every block, concatenated, reduced into 0..m-1.  MatModM
@@ -223,13 +224,9 @@ def elementary_generators(r: int, m: int) -> list[MatModM]:
 # Python ints.  _CHUNK divides the work between Python ints and numpy: a
 # subring of at most _CHUNK elements, and a closure level of at most _CHUNK
 # multiply-adds, stay on Python lists, which spares a small query the
-# time and memory of importing numpy; past that the rows are numpy int64
-# rows, handled _CHUNK at a time, so that temporaries stay small whatever
-# the size of the group.  Each function here that takes numpy imports it
-# itself.  Duplicates are dropped by _distinct_rows, not np.unique:
-# np.unique(axis=0) is several times slower on int64 rows, and under
-# numpy 2 the first np.unique call in a process imports numpy.ma, which
-# takes longer than a small genus.
+# time and memory of importing numpy and of compiling genuskit.kernel;
+# past that the rows are the numpy int64 rows of that kernel, which reads
+# _CHUNK from here at each call.
 _CHUNK = 1 << 15
 
 
@@ -252,192 +249,6 @@ def _shape(m: int, blocks: tuple[int, ...]) -> _Shape:
     sizes = [r * r for r in blocks]
     offsets = tuple(sum(sizes[:i]) for i in range(len(sizes)))
     return _Shape(m=m, blocks=blocks, offsets=offsets, width=sum(sizes))
-
-
-@lru_cache(maxsize=16)
-def _coset_lut(m: int) -> np.ndarray:
-    """The digit nu(d) + 1, for nu(d) = min(d, m - d), naming the coset
-    {d, -d} of {+-1} at a unit d, and 0 at the multiples of the primes of m;
-    16 int32 tables cost 64*m bytes."""
-    import numpy as np
-    lut = np.arange(1, m + 1, dtype=np.int32 if m < 2**31 - 1 else np.int64)
-    lut[m // 2 + 1 :] = lut[(m - 1) // 2 : 0 : -1]
-    for p, _ in prime_powers(m):
-        lut[::p] = 0
-    return lut
-
-
-def _mul_rows(shape: _Shape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Blockwise products mod m of two broadcastable int64 arrays of reduced
-    rows.  An entry of a product sums r terms below (m-1)^2, so the result
-    is exact in int64 while r*(m-1)^2 < 2^63 for the largest block size r.
-    """
-    import numpy as np
-    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.empty(lead + (shape.width,), dtype=np.int64)
-    for r, off in zip(shape.blocks, shape.offsets):
-        x = a[..., off : off + r * r].reshape(a.shape[:-1] + (r, r))
-        y = b[..., off : off + r * r].reshape(b.shape[:-1] + (r, r))
-        out[..., off : off + r * r] = (x @ y).reshape(lead + (r * r,)) % shape.m
-    return out
-
-
-def _block_dets(shape: _Shape, rows: np.ndarray) -> np.ndarray:
-    """Blockwise determinants mod m of reduced rows, one column per block,
-    by _laplace over each block's entry columns; exact in int64 within the
-    range r*(m-1)^2 < 2^63 that _mul_rows and the subring closure admit."""
-    import numpy as np
-    # column-major, so that each block's column is contiguous
-    out = np.empty((len(rows), len(shape.blocks)), dtype=np.int64, order="F")
-    for col, (r, off) in enumerate(zip(shape.blocks, shape.offsets)):
-        out[:, col] = _laplace([rows[:, off + t] for t in range(r * r)], r, shape.m)
-    return out
-
-
-def _distinct_rows(a: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D array, or the distinct entries of a 1-D
-    one, in ascending lexicographic order: a sort, then each row kept when
-    it differs from its predecessor."""
-    import numpy as np
-    if a.ndim == 1:
-        s = np.sort(a)
-        differs = s[1:] != s[:-1]
-    else:
-        s = a[np.lexsort(a.T[::-1])]  # the first column sorts first
-        differs = (s[1:] != s[:-1]).any(axis=1)
-    keep = np.ones(len(s), dtype=bool)
-    keep[1:] = differs  # empty input keeps nothing
-    return s[keep]
-
-
-def _combinations(basis: np.ndarray, additive: list[int], index: np.ndarray,
-                  m: int) -> np.ndarray:
-    """The rows sum_j c_j * basis[j] mod m for flat indices into the product
-    of the ranges 0 <= c_j < additive[j], read as mixed-radix numbers whose
-    last digit varies fastest; over the standard basis with radices m, the
-    rows of the matrices with those base-m codes.  A sum has one term below
-    (m-1)^2 per row, exact in int64 while len(basis)*(m-1)^2 < 2^63."""
-    import numpy as np
-    radices = np.array(additive, dtype=np.int64)
-    place = np.array([prod(additive[j + 1 :]) for j in range(len(additive))],
-                     dtype=np.int64)
-    return index[:, None] // place % radices @ basis % m
-
-
-def _elements(shape: _Shape, basis, additive: list[int]):
-    """The elements sum c_j * basis[j] mod m, 0 <= c_j < additive[j], for
-    basis rows given as lists or an int64 array, each once, in chunks of at
-    most _CHUNK rows and in mixed-radix order: element i is _combinations
-    at index i, the first row varying slowest.
-
-    The last rows are tabulated once, unreduced: an entry sums one multiple
-    below m per row.  Each chunk adds the table to the _combinations of the
-    leading rows; a span of at most _CHUNK elements has no leading rows and
-    is its table, reduced mod m, in one chunk.  The work runs on transposed
-    (width, n) arrays, so that numpy's inner loops run along the elements
-    rather than along a short row, and a chunk is handed out as the
-    transposed view, whose columns are contiguous.  Past one chunk every
-    chunk is a view of one buffer, which the next chunk overwrites: fresh
-    memory for each chunk cost more in page faults than the additions that
-    fill it.
-    """
-    import numpy as np
-    m, width = shape.m, shape.width
-    basis = np.array(basis, dtype=np.int64).reshape(len(additive), width)
-    split, low = len(basis), 1
-    while split and low * additive[split - 1] <= _CHUNK:
-        split -= 1
-        low *= additive[split]
-    table = np.zeros((width, 1), dtype=np.int64)
-    for row, n in zip(basis[split:], additive[split:]):
-        mults = row[:, None] * np.arange(n, dtype=np.int64) % m
-        table = (table[:, :, None] + mults[:, None]).reshape(width, -1)
-    if not split:
-        yield np.remainder(table, m, out=table).T
-        return
-    total, step = prod(additive[:split]), max(1, _CHUNK // low)
-    buffer = np.empty((width, min(step, total), low), dtype=np.int64)
-    for lo in range(0, total, step):
-        index = np.arange(lo, min(lo + step, total), dtype=np.int64)
-        offsets = _combinations(basis[:split], additive[:split], index, m).T
-        chunk = buffer[:, : len(index)]
-        np.add(offsets[:, :, None], table[:, None], out=chunk)
-        yield np.remainder(chunk, m, out=chunk).reshape(width, -1).T
-
-
-def _gl_flat(r: int, m: int, lut: np.ndarray | None = None) -> np.ndarray:
-    """Ascending codes of the r x r matrices mod m whose determinant d has
-    lut[d] True, filtered from the _elements of the standard basis, whose
-    element i has base-m code i.  The default lut, the units mod m, gives
-    GL(r, Z/m); criterion 4 passes the signs +-1."""
-    import numpy as np
-    shape = _shape(m, (r,))
-    lut = _coset_lut(m) > 0 if lut is None else lut
-    chunks = _elements(shape, np.eye(r * r, dtype=np.int64), [m] * (r * r))
-    return np.flatnonzero(np.concatenate([lut[_block_dets(shape, rows)[:, 0]]
-                                          for rows in chunks]))
-
-
-def _row_table(gens: list[MatModM]) -> np.ndarray:
-    """T[g, c] is the code of v*g for the g-th generator g and the row v of
-    length r with base-m code c, the first entry most significant; shape
-    (#gens, m^r)."""
-    import numpy as np
-    r, m = gens[0].size, gens[0].modulus
-    place = m ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    # column c holds the entries of row code c
-    digits = np.arange(m**r, dtype=np.int64) // place[:, None] % m
-    return np.array([place @ (np.array(g.rows).T @ digits % m) for g in gens])
-
-
-def _right_products(table: np.ndarray, codes: np.ndarray, r: int) -> np.ndarray:
-    """Codes of x*g for every generator g (axis 0) and every code x (axis 1).
-
-    Right multiplication by g maps each row of x to its product with g on
-    its own, so with M = m^r the code of x*g is sum_a T[g, x_a] * M^(r-1-a)
-    over the row codes x_a = code // M^(r-1-a) % M of x.
-    """
-    import numpy as np
-    rows_m = table.shape[1]
-    place = rows_m ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    return sum(table[:, codes // place[a] % rows_m] * place[a] for a in range(r))
-
-
-def _stable_flat(r: int, m: int) -> np.ndarray:
-    """Ascending codes of the closure of the elementary generators.  For
-    r = 1 the one generator is -1 and the closure is {+-1}.  For r >= 2 a
-    frontier search right-multiplies each frontier by all generators through
-    their row tables over the m^r row codes, so no matrix is decoded or
-    multiplied.  What was reached is marked in a boolean map over all
-    m^(r^2) codes, which _check_scan_cap bounds.  It serves stable_image and
-    criterion 4."""
-    import numpy as np
-    if r == 1:
-        return np.array(sorted({1 % m, -1 % m}), dtype=np.int64)
-    table = _row_table(elementary_generators(r, m))
-    place = m ** np.arange(r * r - 1, -1, -1, dtype=np.int64)
-    seen = np.zeros(m ** (r * r), dtype=bool)
-    frontier = np.array([MatModM.identity(r, m).entries]) @ place
-    seen[frontier] = True
-    while len(frontier):
-        reached = []
-        for lo in range(0, len(frontier), _CHUNK):
-            codes = _right_products(table, frontier[lo : lo + _CHUNK], r).ravel()
-            new = _distinct_rows(codes[~seen[codes]])
-            seen[new] = True
-            reached.append(new)
-        frontier = np.concatenate(reached)
-    return np.flatnonzero(seen)
-
-
-def _group(codes: np.ndarray, r: int, m: int, name: str) -> FiniteGroup:
-    """The group of the matrices with these codes, decoded a chunk at a time."""
-    import numpy as np
-    eye, radices = np.eye(r * r, dtype=np.int64), [m] * (r * r)
-    chunks = (_combinations(eye, radices, codes[lo : lo + _CHUNK], m).tolist()
-              for lo in range(0, len(codes), _CHUNK))
-    carrier = frozenset(MatModM(m, r, row) for rows in chunks for row in rows)
-    return FiniteGroup(carrier, mat_mul, MatModM.identity(r, m), name=name)
 
 
 # Python prints an int of at most 4,300 digits (sys.get_int_max_str_digits),
@@ -474,7 +285,8 @@ def _check_scan_cap(r: int, m: int, cap: int) -> None:
 def enumerate_gl(r: int, m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """The group GL(r, Z/m) of matrices with invertible determinant."""
     _check_scan_cap(r, m, cap)
-    return _group(_gl_flat(r, m), r, m, f"GL({r}, Z/{m})")
+    from . import kernel
+    return kernel._group(kernel._gl_flat(r, m), r, m, f"GL({r}, Z/{m})")
 
 
 def stable_image(r: int, m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
@@ -484,7 +296,8 @@ def stable_image(r: int, m: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     it always contains SL(r, Z/m) and the determinant-(-1) coset.
     """
     _check_scan_cap(r, m, cap)
-    return _group(_stable_flat(r, m), r, m, f"E({r}, Z/{m})")
+    from . import kernel
+    return kernel._group(kernel._stable_flat(r, m), r, m, f"E({r}, Z/{m})")
 
 
 def gl_order(r: int, m: int, cap: int = DEFAULT_CAP) -> int:

@@ -24,9 +24,11 @@ whole ring, a level with phi(m) = sigma(m), and a subring above one chunk
 whose probe already meets every coset have genus 1 without a count of c.
 A subring of at most one chunk counts c on Python ints, one prime power
 of m at a time, from lifts of S/pS; a larger one counts it over a streamed
-scan of S, a chunk of int64 rows of the numpy row kernel in
-:mod:`genuskit.matrices` at a time, which never holds all of S.  numpy is
-imported only when that kernel first runs.  The generic engine in
+scan of S, a chunk of int64 rows of the numpy row kernel at a time, which
+never holds all of S.  That route, a closure level above one chunk of
+multiply-adds, and the bodies of the oracle builders subring_closure and
+subring_units live in :mod:`genuskit.kernel`, which is imported, with
+numpy, only when one of them first runs.  The generic engine in
 :mod:`genuskit.cosets` is the test oracle for both routes.
 
 genus_relative keeps its last 64 answers, keyed by the frozen OrderSpec and
@@ -40,15 +42,14 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import chain, product
-from math import gcd, prod
+from math import prod
 from pathlib import Path
 
 from . import matrices
 from .cosets import FiniteGroup
 from .errors import Frozen, InternalInconsistencyError, ResourceLimitError
-from .matrices import (DEFAULT_CAP, MatModM, _block_dets, _distinct_rows, _elements,
-                       _laplace, _laplace_lists, _matmul, _mul_rows, _Shape, _shape,
-                       det, mat_mul)
+from .matrices import (DEFAULT_CAP, MatModM, _laplace, _laplace_lists, _matmul, _Shape,
+                       _shape)
 from .rings import ext_gcd, prime_powers, sign_count, totient
 
 
@@ -235,13 +236,6 @@ def load_order_spec(path) -> OrderSpec:
     return order_spec_from_dict(data)
 
 
-def _row_to_mats(shape: _Shape, row) -> tuple[MatModM, ...]:
-    return tuple(
-        MatModM(shape.m, r, tuple(row[off : off + r * r]))
-        for r, off in zip(shape.blocks, shape.offsets)
-    )
-
-
 def _mats_to_row(tup) -> tuple[int, ...]:
     return tuple(e for mat in tup for e in mat.entries)
 
@@ -332,9 +326,9 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[list[list[int]], list[i
     level multiplies the words that grew the span by every generator on the
     right; the products that grow it make the next level.  A level whose
     products take at most _CHUNK multiply-adds is multiplied by _mul_lists
-    on Python ints, and a larger one in _mul_rows calls of at most _CHUNK
-    product entries or of one word.  ``cap`` bounds |S| = prod m/d_j,
-    checked before any element is made.
+    on Python ints, and a larger one by the kernel's _level_products, in
+    batches of at most _CHUNK product entries or of one word.  ``cap``
+    bounds |S| = prod m/d_j, checked before any element is made.
     """
     m, width = shape.m, shape.width
     # the m multiples of the identity are distinct and lie in every subring
@@ -362,15 +356,11 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[list[list[int]], list[i
             words = [_mul_lists(shape, w, g) for w in level for g in gens]
             frontier = [w for w in words if _insert(basis, m, w)]
             continue
-        import numpy as np
-        right = np.array(gens, dtype=np.int64)
-        level = np.array(level, dtype=np.int64)[:, None]
-        step = max(1, matrices._CHUNK // (len(gens) * width))
-        for lo in range(0, len(level), step):
+        from . import kernel
+        for words in kernel._level_products(shape, level, gens):
+            frontier += [w for w in words if _insert(basis, m, w)]
             if whole():
                 break
-            words = _mul_rows(shape, level[lo : lo + step], right).reshape(-1, width)
-            frontier += [w for w in words.tolist() if _insert(basis, m, w)]
     size = prod(m // d for _, d in basis.values())
     if size > cap:
         raise ResourceLimitError(
@@ -397,10 +387,10 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[list[list[int]], list[i
 # - S is the whole ring when every Howell pivot is 1.  det maps its units,
 #   prod GL(r_i, Z/m), onto ((Z/m)^x)^k, so the index is 1.
 # - Q is trivial when phi(m) = sigma(m), that is for m in {1, 2, 3, 4, 6}.
-# - Above one chunk, a probe of _PROBE elements of S, at a fixed stride
-#   through the mixed-radix index space of the basis, gives cosets that
-#   span a subgroup of the image of D in Q; when that is all of Q the genus
-#   is 1, and otherwise the scan decides.  It is taken only when
+# - Above one chunk, a probe of kernel._PROBE elements of S, at a fixed
+#   stride through the mixed-radix index space of the basis, gives cosets
+#   that span a subgroup of the image of D in Q; when that is all of Q the
+#   genus is 1, and otherwise the scan decides.  It is taken only when
 #   |S| >= |Q|, as K meets at most |S| cosets.  It needs no random numbers,
 #   and so no import of numpy.random.
 #
@@ -421,96 +411,20 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[list[list[int]], list[i
 # closure of the lifts' unit determinant tuples under det(1 + p^i b_j).
 # The lifts, D_q and so the whole count take O(|S|) tuple operations.
 #
-# A subring above one chunk takes the numpy row kernel.  A unit d and
-# m - d make up its coset of {+-1}, so the coset of a tuple is named by
-# nu(d) = min(d, m - d) in each block, and counted by its _codes, never
-# decoded: the base-B numbers, B = m//2 + 2, whose digits nu(d) + 1 the
-# table _coset_lut holds.  A non-unit has the digit 0 there, so the codes
-# of unit rows are the codes with no zero digit.
-_PROBE = 256
-
-
-def _codes(lut: np.ndarray, dets: np.ndarray, base: int) -> np.ndarray:
-    """The base-``base`` codes of the rows of ``dets`` whose digits are
-    their lut entries, the first block most significant; base**k < 2^63.
-    They are accumulated a block at a time in one int64 column."""
-    import numpy as np
-    codes = lut[dets[:, 0]].astype(np.int64)
-    for j in range(1, dets.shape[1]):
-        codes *= base
-        codes += lut[dets[:, j]]
-    return codes
-
-
-def _count(m: int, k: int, dets, size: int) -> int:
-    """The number of cosets of {+-1}^k that the unit rows among the chunks
-    ``dets`` of determinant tuples meet, at most ``size`` rows in all.  When
-    the B^k bytes of a boolean map over the codes, B = m//2 + 2, are at most
-    those of one int64 column of max(size, _CHUNK) rows, every row's code
-    marks the map, and the count is of the marked codes with no zero digit,
-    the sub-box from digit 1 up in every block.  Otherwise the unit rows of
-    each chunk, as codes or, where B^k >= 2^63 would leave int64, as digit rows,
-    are deduplicated on their own and merged once at the end."""
-    import numpy as np
-    lut, base = matrices._coset_lut(m), m // 2 + 2
-    if base**k <= 8 * max(size, matrices._CHUNK):
-        seen = np.zeros(base**k, dtype=bool)
-        for d in dets:
-            seen[_codes(lut, d, base)] = True
-        return int(np.count_nonzero(seen.reshape((base,) * k)[(slice(1, None),) * k]))
-    units = (d[lut[d].min(axis=1) > 0] for d in dets)
-    if base**k < 2**63:
-        chunks = (_codes(lut, d, base) for d in units)
-    else:
-        chunks = (lut[d] for d in units)
-    return len(_distinct_rows(np.concatenate([_distinct_rows(c) for c in chunks])))
-
-
-def _span(gens: np.ndarray, m: int) -> np.ndarray:
-    """A unit row for each coset of {+-1}^k in the subgroup of Q generated
-    by the unit rows among ``gens``; its _codes need B^k < 2^63.
-
-    The group is abelian, so adjoining g to a subgroup G gives the union of
-    the cosets g^i*G for i < j, where j is the least power with g^j in G.
-    That union is built by doubling: if T holds the first n cosets, T and
-    g^n*T together hold the first 2n, and T is the whole union exactly when
-    g^n lies in T, that is when g^n*T adds no coset to T, as T holds 1.
-    Each extension is one membership pass against the sorted codes of T, so
-    adjoining g takes about log2(j) extensions, and all of them together
-    number at most log2 of the order of the span.
-    """
-    import numpy as np
-    lut = matrices._coset_lut(m)
-    gens = gens[lut[gens].min(axis=1) > 0]
-    k, base = gens.shape[1], m // 2 + 2
-    group = np.full((1, k), 1 % m, dtype=np.int64)
-    # the sorted codes of the group, closed by a sentinel above every code
-    codes = np.append(_codes(lut, group, base), base**k)
-
-    def outside(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows whose cosets the group lacks, and their codes."""
-        c = _codes(lut, rows, base)
-        new = codes[codes.searchsorted(c)] != c
-        return rows[new], c[new]
-
-    while len(gens := outside(gens)[0]):
-        power = gens[0]
-        while len((fresh := outside(group * power % m))[0]):
-            group = np.concatenate((group, fresh[0]))
-            codes = np.sort(np.concatenate((codes, fresh[1])))
-            power = power * power % m
-    return group
+# A subring above one chunk takes the probe and the streamed scan of
+# genuskit.kernel, which count the cosets of the determinant tuples by
+# their codes.
 
 
 def _subgroup(gens, k: int, q: int) -> set[tuple[int, ...]]:
     """The subgroup of ((Z/q)^x)^k that the unit tuples ``gens`` generate.
 
-    As in _span, adjoining g to a subgroup G gives the union of the cosets
-    g^i*G for i < j, the least power with g^j in G, built by doubling: if T
-    holds the first n cosets, T and g^n*T hold the first 2n, and T is the
-    whole union exactly when g^n lies in T.  So adjoining g takes about
-    log2(j) passes, each multiplying T a column at a time, and a g that
-    adds nothing costs one lookup.
+    As in the kernel's _span, adjoining g to a subgroup G gives the union
+    of the cosets g^i*G for i < j, the least power with g^j in G, built by
+    doubling: if T holds the first n cosets, T and g^n*T hold the first 2n,
+    and T is the whole union exactly when g^n lies in T.  So adjoining g
+    takes about log2(j) passes, each multiplying T a column at a time, and
+    a g that adds nothing costs one lookup.
     """
     group = {(1,) * k}
     for power in gens:
@@ -567,20 +481,6 @@ def _check_index(size: int) -> None:
         )
 
 
-def _probe(basis: list[list[int]], additive: list[int], m: int) -> np.ndarray:
-    """_PROBE elements of the subring, at the indices i*t mod |S| for i
-    below _PROBE: t is the integer nearest |S|/phi for the golden ratio phi,
-    raised to the next value prime to |S|, so the indices are distinct and
-    spread evenly over the whole index space, leading digits included."""
-    import numpy as np
-    size = prod(additive)
-    stride = round(size * (5**0.5 - 1) / 2)
-    while gcd(stride, size) != 1:
-        stride += 1
-    index = np.array([i * stride % size for i in range(_PROBE)], dtype=np.int64)
-    return matrices._combinations(np.array(basis, dtype=np.int64), additive, index, m)
-
-
 # -- public operations -------------------------------------------------------
 
 
@@ -591,14 +491,8 @@ def subring_closure(spec: OrderSpec, cap: int = DEFAULT_CAP) -> set:
     under tuplewise addition and multiplication; always contains the zero
     tuple.  Returned as a set of matrix tuples.
     """
-    shape = _shape(spec.m, spec.blocks)
-    basis, additive = _closure(shape, [_mats_to_row(t) for t in spec.generators], cap)
-    _check_index(prod(additive))
-    return {
-        _row_to_mats(shape, row)
-        for rows in _elements(shape, basis, additive)
-        for row in rows.tolist()
-    }
+    from . import kernel
+    return kernel._subring_closure(spec, cap)
 
 
 def subring_units(S, m: int, blocks) -> FiniteGroup:
@@ -611,24 +505,8 @@ def subring_units(S, m: int, blocks) -> FiniteGroup:
     It takes det on exact Python ints, not the int64 row kernel of the
     genus route, so that it has no int64 range and can check that route.
     """
-    blocks = tuple(int(r) for r in blocks)
-    identity = tuple(MatModM.identity(r, m) for r in blocks)
-    S = set(S)
-    if identity not in S:
-        raise ValueError("a subring closure must contain the identity tuple")
-    S = [tuple(tup) for tup in S]
-    for tup in S:
-        if len(tup) != len(blocks) or not all(
-            isinstance(mat, MatModM) and mat.modulus == m and mat.size == r
-            for mat, r in zip(tup, blocks)
-        ):
-            raise ValueError(f"tuple {tup!r} does not match blocks {blocks} mod {m}")
-    units = frozenset(tup for tup in S if all(det(mat).is_unit() for mat in tup))
-
-    def op(a, b):
-        return tuple(mat_mul(x, y) for x, y in zip(a, b))
-
-    return FiniteGroup(units, op, identity, name=f"units of subring mod {m}")
+    from . import kernel
+    return kernel._subring_units(S, m, blocks)
 
 
 @lru_cache(maxsize=64)
@@ -676,11 +554,8 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
         return 1  # phi(m) = sigma(m): every unit is a sign, and Q is trivial
     if size <= matrices._CHUNK:
         return full // _prime_cosets(shape, basis, additive, factors)
-    if size >= full and (m // 2 + 2) ** k < 2**63:
-        if len(_span(_block_dets(shape, _probe(basis, additive, m)), m)) == full:
-            return 1
-    dets = (_block_dets(shape, rows) for rows in _elements(shape, basis, additive))
-    return full // _count(m, k, dets, size)
+    from . import kernel
+    return kernel._genus_by_scan(shape, basis, additive, size, full)
 
 
 def genus(spec: OrderSpec, cap: int = DEFAULT_CAP) -> GenusResult:

@@ -268,31 +268,31 @@ class TestCap:
         assert status == 0
 
     def test_order_verbs_build_no_group(self, capsys, monkeypatch):
-        import genuskit.matrices as matrices
+        import genuskit.kernel as kernel
 
         def no_group(*args):
             raise AssertionError("a MatModM carrier was built")
 
-        monkeypatch.setattr(matrices, "_group", no_group)
+        monkeypatch.setattr(kernel, "_group", no_group)
         assert run(capsys, "gl-order", "2", "3")[:2] == (0, "48\n")
         assert run(capsys, "stable-image", "2", "5")[:2] == (0, "240\n")
 
     def test_gl_order_scans_nothing(self, capsys, monkeypatch):
-        import genuskit.matrices as matrices
+        import genuskit.kernel as kernel
 
         def no_scan(*args):
             raise AssertionError("the GL scan ran")
 
-        monkeypatch.setattr(matrices, "_gl_flat", no_scan)
+        monkeypatch.setattr(kernel, "_gl_flat", no_scan)
         assert run(capsys, "gl-order", "3", "3")[:2] == (0, "11232\n")
 
     def test_stable_image_searches_nothing(self, capsys, monkeypatch):
-        import genuskit.matrices as matrices
+        import genuskit.kernel as kernel
 
         def no_search(*args):
             raise AssertionError("the stable-image search ran")
 
-        monkeypatch.setattr(matrices, "_stable_flat", no_search)
+        monkeypatch.setattr(kernel, "_stable_flat", no_search)
         assert run(capsys, "stable-image", "3", "3")[:2] == (0, "11232\n")
 
     @pytest.mark.parametrize("verb", ["gl-order", "stable-image"])
@@ -421,14 +421,14 @@ class TestCheckVerb:
 
     def test_fault_injection_fails_check(self, capsys, monkeypatch):
         # a deliberately broken stable-image scan must flip the check to FAIL
-        import genuskit.matrices as matrices
+        import genuskit.kernel as kernel
 
-        real = matrices._stable_flat
+        real = kernel._stable_flat
 
         def broken(r, m):
             return real(r, m)[1:]  # one matrix short
 
-        monkeypatch.setattr(matrices, "_stable_flat", broken)
+        monkeypatch.setattr(kernel, "_stable_flat", broken)
         status, out, _ = run(capsys, "check", "--only", "stable-image")
         assert status == 1
         assert out.startswith("FAIL stable-image")

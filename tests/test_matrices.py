@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genuskit.kernel as kernel
 import genuskit.matrices as matrices
 from genuskit.cosets import subgroup_closure
 from genuskit.errors import ResourceLimitError
@@ -276,7 +277,7 @@ class TestRowKernel:
         pairs.append((top, top))
         a = np.array([flat_row(x) for x, _ in pairs])
         b = np.array([flat_row(y) for _, y in pairs])
-        got = matrices._mul_rows(matrices._shape(m, blocks), a, b)
+        got = kernel._mul_rows(matrices._shape(m, blocks), a, b)
         expected = [flat_row(map(mat_mul, x, y)) for x, y in pairs]
         assert got.tolist() == expected
 
@@ -288,8 +289,8 @@ class TestRowKernel:
         y = random_tuple(rng, blocks, m)
         stack = np.array([flat_row(x) for x in xs])
         row = np.array(flat_row(y))
-        right = matrices._mul_rows(shape, stack, row)
-        left = matrices._mul_rows(shape, row, stack)
+        right = kernel._mul_rows(shape, stack, row)
+        left = kernel._mul_rows(shape, row, stack)
         assert right.tolist() == [flat_row(map(mat_mul, x, y)) for x in xs]
         assert left.tolist() == [flat_row(map(mat_mul, y, x)) for x in xs]
 
@@ -323,11 +324,11 @@ class TestRowKernel:
         basis = rng.integers(0, m, size=(len(additive), 4), dtype=np.int64)
         shape = matrices._shape(m, (2,))
         size = math.prod(additive)
-        want = matrices._combinations(basis, additive, np.arange(size), m).tolist()
+        want = kernel._combinations(basis, additive, np.arange(size), m).tolist()
         for chunk in (7, size - 1, matrices._CHUNK):
             monkeypatch.setattr(matrices, "_CHUNK", chunk)
             # each chunk is overwritten by the next, so keep copies
-            chunks = [c.tolist() for c in matrices._elements(shape, basis, additive)]
+            chunks = [c.tolist() for c in kernel._elements(shape, basis, additive)]
             assert (len(chunks) > 1) == (chunk < size), chunk
             assert [row for c in chunks for row in c] == want, chunk
 
@@ -335,7 +336,7 @@ class TestRowKernel:
         for m in [*range(1, 401), 510_510, 999_999, 1_000_003]:
             d = np.arange(m)
             want = np.where(np.gcd(d, m) == 1, np.minimum(d, m - d) + 1, 0)
-            assert np.array_equal(matrices._coset_lut(m), want), m
+            assert np.array_equal(kernel._coset_lut(m), want), m
 
     @pytest.mark.parametrize(
         "r, m", [(1, m) for m in range(1, 13)] + [(2, m) for m in range(1, 8)]
@@ -346,13 +347,13 @@ class TestRowKernel:
         # by a Leibniz determinant on Python ints
         dets = [leibniz_det(MatModM(m, r, t))
                 for t in itertools.product(range(m), repeat=r * r)]
-        masks = [(matrices._coset_lut(m) > 0, lambda d: math.gcd(d, m) == 1),
+        masks = [(kernel._coset_lut(m) > 0, lambda d: math.gcd(d, m) == 1),
                  (is_sign(np.arange(m), m), lambda d: d in {1 % m, -1 % m})]
         for chunk in (7, matrices._CHUNK):
             monkeypatch.setattr(matrices, "_CHUNK", chunk)
             for lut, keep in masks:
                 want = [code for code, d in enumerate(dets) if keep(d)]
-                assert matrices._gl_flat(r, m, lut).tolist() == want, chunk
+                assert kernel._gl_flat(r, m, lut).tolist() == want, chunk
 
 
 class TestDistinctRows:
@@ -374,7 +375,7 @@ class TestDistinctRows:
         ids=["empty-rows", "empty-1d", "one-row", "one-column", "1d"],
     )
     def test_edge_shapes(self, a):
-        got = matrices._distinct_rows(a)
+        got = kernel._distinct_rows(a)
         assert got.ndim == a.ndim
         assert [x if a.ndim == 1 else tuple(x) for x in got.tolist()] == self.by_set(a)
 
@@ -385,9 +386,9 @@ class TestDistinctRows:
                                  (1000, 1, 30)]:
             a = gen.integers(-high, high, size=(rows, cols), dtype=np.int64)
             a = np.concatenate([a, a[gen.integers(0, rows, size=rows // 3)]])
-            got = matrices._distinct_rows(a)
+            got = kernel._distinct_rows(a)
             assert [tuple(x) for x in got.tolist()] == self.by_set(a)
-            assert matrices._distinct_rows(a[:, 0]).tolist() == self.by_set(a[:, 0])
+            assert kernel._distinct_rows(a[:, 0]).tolist() == self.by_set(a[:, 0])
 
     def test_genus_path_does_not_import_numpy_ma(self, subprocess_env):
         # np.unique imports numpy.ma on its first call, and numpy.random
@@ -397,11 +398,11 @@ class TestDistinctRows:
         # of pullback_spec(600)
         code = (
             "import sys\n"
-            "import genuskit.orders as orders\n"
+            "import genuskit.kernel as kernel\n"
             "from genuskit import MatModM, OrderSpec, genus, pullback_spec\n"
             "from genuskit import stable_image_order\n"
-            "probes, span = [], orders._span\n"
-            "orders._span = lambda *a: probes.append(1) or span(*a)\n"
+            "probes, span = [], kernel._span\n"
+            "kernel._span = lambda *a: probes.append(1) or span(*a)\n"
             "gens = ((MatModM(36, 2, (1, 0, 0, 0)),), (MatModM(36, 2, (0, 1, 0, 0)),))\n"
             "assert genus(OrderSpec(m=36, blocks=(2,), generators=gens)).total == 1\n"
             "assert probes\n"
@@ -443,14 +444,14 @@ class TestClosedFormAndRowTables:
         + [(3, m) for m in range(1, 5)] + [(4, 1), (4, 2)]
     )
     def test_gl_order_matches_the_scan(self, r, m):
-        assert gl_order(r, m) == len(matrices._gl_flat(r, m))
-        assert stable_image_order(r, m) == len(matrices._stable_flat(r, m))
+        assert gl_order(r, m) == len(kernel._gl_flat(r, m))
+        assert stable_image_order(r, m) == len(kernel._stable_flat(r, m))
 
     def test_stable_order_runs_no_search(self, monkeypatch):
         def fail(*args):
             raise AssertionError("the stable-image search ran")
 
-        monkeypatch.setattr(matrices, "_stable_flat", fail)
+        monkeypatch.setattr(kernel, "_stable_flat", fail)
         for r, m, order in [(1, 1, 1), (1, 2, 1), (1, 7, 2), (2, 1, 1),
                             (2, 5, 240), (3, 3, 11232), (4, 2, 20160)]:
             assert stable_image_order(r, m) == order
@@ -470,10 +471,10 @@ class TestClosedFormAndRowTables:
         rows = rng.integers(0, m, size=(60, r * r), dtype=np.int64)
         mats = elementary_generators(r, m)
         gens = np.array([g.entries for g in mats])
-        expected = matrices._mul_rows(shape, rows[:, None], gens) @ place
-        table = matrices._row_table(mats)
+        expected = kernel._mul_rows(shape, rows[:, None], gens) @ place
+        table = kernel._row_table(mats)
         assert table.shape == (len(gens), m**r)
-        got = matrices._right_products(table, rows @ place, r)
+        got = kernel._right_products(table, rows @ place, r)
         assert got.tolist() == expected.T.tolist()
 
     def test_stable_order_multiplies_no_matrix(self, monkeypatch):
@@ -481,11 +482,11 @@ class TestClosedFormAndRowTables:
             raise AssertionError("a matrix was decoded or multiplied")
 
         for name in ("_mul_rows", "_combinations", "_elements"):
-            monkeypatch.setattr(matrices, name, fail)
+            monkeypatch.setattr(kernel, name, fail)
         # orders from the parametrized carrier and brute-scan tests above
         for r, m, order in [(1, 1, 1), (1, 7, 2), (2, 1, 1), (2, 5, 240),
                             (2, 16, 6144), (3, 3, 11232), (4, 2, 20160)]:
-            assert len(matrices._stable_flat(r, m)) == order
+            assert len(kernel._stable_flat(r, m)) == order
 
     def test_table_blocks_fill_as_the_search_meets_them(self, monkeypatch):
         # with 5-code chunks the search of (2, 16) passes many chunks; r = 1
@@ -494,14 +495,14 @@ class TestClosedFormAndRowTables:
                     for r, m in [(1, 12), (2, 6), (2, 16), (3, 2), (3, 3)]}
         monkeypatch.setattr(matrices, "_CHUNK", 5)
         for (r, m), order in expected.items():
-            assert len(matrices._stable_flat(r, m)) == order
+            assert len(kernel._stable_flat(r, m)) == order
         monkeypatch.undo()
 
         def fail(*args):
             raise AssertionError("r = 1 built a row table")
 
-        monkeypatch.setattr(matrices, "_row_table", fail)
-        assert matrices._stable_flat(1, 100003).tolist() == [1, 100002]
+        monkeypatch.setattr(kernel, "_row_table", fail)
+        assert kernel._stable_flat(1, 100003).tolist() == [1, 100002]
         monkeypatch.undo()
         m = 1_999_993
         assert stable_image(1, m).carrier == {MatModM(m, 1, [1]), MatModM(m, 1, [-1])}

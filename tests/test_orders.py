@@ -1,3 +1,4 @@
+import ast
 import json
 import random
 import subprocess
@@ -6,6 +7,7 @@ import time
 import tracemalloc
 from functools import lru_cache
 from math import gcd, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from genuskit.orders import (
     subring_closure,
     subring_units,
 )
+import genuskit.kernel as kernel
 import genuskit.matrices as matrices
 import genuskit.orders as orders
 from genuskit.rings import prime_powers, sign_count, totient
@@ -167,7 +170,7 @@ class TestSubringClosure:
         assert sorted(additive) == [6, 12]
         # each chunk is overwritten by the next, so keep copies
         rows = np.concatenate(
-            [c.copy() for c in matrices._elements(shape, basis, additive)]
+            [c.copy() for c in kernel._elements(shape, basis, additive)]
         )
         assert len(rows) == len(np.unique(rows, axis=0)) == 12 * 6
         assert len(subring_closure(spec)) == 12 * 6
@@ -185,7 +188,7 @@ class TestSubringClosure:
         def no_elements(*args):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(orders, "_elements", no_elements)
+        monkeypatch.setattr(kernel, "_elements", no_elements)
         for call in (subring_closure, genus):
             with pytest.raises(ResourceLimitError, match="2401"):
                 call(matrix_units_spec(7), cap=2400)
@@ -267,7 +270,7 @@ class TestSubringClosure:
             shape = matrices._shape(m, (1,) * width)
             got = {
                 tuple(row)
-                for c in matrices._elements(shape, basis, [m // howell[j][1] for j in kept])
+                for c in kernel._elements(shape, basis, [m // howell[j][1] for j in kept])
                 for row in c.tolist()
             }
             assert got == span, (m, vectors)
@@ -286,7 +289,7 @@ class TestSubringClosure:
             rows = [orders._mats_to_row(t) for t in spec.generators]
             basis, additive = orders._closure(shape, rows, cap=10**6)
             # each chunk is overwritten by the next, so keep copies
-            chunks = [c.tolist() for c in matrices._elements(shape, basis, additive)]
+            chunks = [c.tolist() for c in kernel._elements(shape, basis, additive)]
             assert len(chunks) > 1 and all(len(c) <= 7 for c in chunks)
             got = [tuple(row) for c in chunks for row in c]
             brute = {sum(t, ()) for t in brute_subring_closure(spec)}
@@ -308,21 +311,21 @@ class TestSubringClosure:
             frontier = [identity] if orders._insert(basis, m, identity) else []
             while frontier and (len(basis) < width
                                 or any(d > 1 for _, d in basis.values())):
-                words = matrices._mul_rows(
+                words = kernel._mul_rows(
                     shape, np.array(frontier, dtype=np.int64)[:, None], gens)
                 frontier = [w for w in words.reshape(-1, width).tolist()
                             if orders._insert(basis, m, w)]
             cols = sorted(basis)
             return [basis[j][0] for j in cols], [m // basis[j][1] for j in cols]
 
-        products, real_mul = [], orders._mul_rows
+        products, real_mul = [], kernel._mul_rows
 
         def mul_rows(*args):
             out = real_mul(*args)
             products.append(out.size)
             return out
 
-        monkeypatch.setattr(orders, "_mul_rows", mul_rows)
+        monkeypatch.setattr(kernel, "_mul_rows", mul_rows)
         rng = random.Random(16)
         levels = (2, 3, 4, 5, 6, 8, 9, 10, 12)
         composite = batched = 0
@@ -349,14 +352,21 @@ class TestSubringClosure:
         assert composite >= 100 and batched >= 20, (composite, batched)
 
     def test_chunk_size_and_enumerator_live_in_the_row_kernel(self):
-        assert not hasattr(orders, "_CHUNK")
-        assert not hasattr(orders, "_combinations")
-        assert orders._elements is matrices._elements
+        # the kernel owns every name of the numpy route, neither matrices
+        # nor orders binds one of them, and _CHUNK has its one definition
+        # in matrices, where the kernel reads it at each call
+        for name in KERNEL_NAMES:
+            assert getattr(kernel, name).__module__ == "genuskit.kernel", name
+            assert not hasattr(matrices, name) and not hasattr(orders, name), name
+        assert "_PROBE" in vars(kernel)
+        assert not hasattr(orders, "_PROBE")
+        assert "_CHUNK" in vars(matrices)
+        assert not hasattr(orders, "_CHUNK") and not hasattr(kernel, "_CHUNK")
 
     def test_one_chunk_subring_is_its_table(self, monkeypatch):
         # with _CHUNK = |S| the subring is one chunk, the table of all its
         # basis rows, and takes no _combinations; one less and it is split
-        combos = spy(monkeypatch, "_combinations", matrices)
+        combos = spy(monkeypatch, "_combinations")
         for spec in (
             spec_1x1(12, [(1, 3)]),
             spec_3x1(6, [(0, 2, 0), (0, 3, 1)]),
@@ -372,7 +382,7 @@ class TestSubringClosure:
                 monkeypatch.setattr(matrices, "_CHUNK", chunk)
                 combos.clear()
                 # each chunk is overwritten by the next, so keep copies
-                chunks = [c.tolist() for c in matrices._elements(shape, basis, additive)]
+                chunks = [c.tolist() for c in kernel._elements(shape, basis, additive)]
                 got = [tuple(row) for c in chunks for row in c]
                 assert len(got) == len(set(got)) == size, spec
                 assert set(got) == brute, spec
@@ -421,7 +431,7 @@ class TestSubringUnits:
             ]
             rows = np.array([[e for mat in t for e in mat.entries] for t in tuples])
             expected = [[leibniz_det(mat) for mat in t] for t in tuples]
-            got = matrices._block_dets(matrices._shape(m, blocks), rows)
+            got = kernel._block_dets(matrices._shape(m, blocks), rows)
             assert got.tolist() == expected
 
     def test_units_at_a_level_past_int64(self):
@@ -461,7 +471,7 @@ class TestPullback:
             assert genus_pullback_formula(m) == totient(m) // signs
             assert genus(pullback_spec(m)).bound == (totient(m) // signs) ** 2
             assert stable_image_order(1, m) == signs
-            assert len(matrices._stable_flat(1, m)) == signs
+            assert len(kernel._stable_flat(1, m)) == signs
 
     def test_formula_rejects_bad_level(self):
         with pytest.raises(ValueError):
@@ -1006,15 +1016,30 @@ def units_spec(m, blocks, cells):
     return OrderSpec(m=m, blocks=tuple(blocks), generators=tuple(gens))
 
 
-def forbid(monkeypatch, *names, module=orders):
+# the functions of the numpy route, which genuskit.kernel defines
+KERNEL_NAMES = ("_coset_lut", "_mul_rows", "_block_dets", "_distinct_rows",
+                "_combinations", "_elements", "_gl_flat", "_row_table",
+                "_right_products", "_stable_flat", "_group", "_codes", "_count",
+                "_span", "_probe", "_genus_by_scan", "_level_products",
+                "_stable_against_signs", "_row_to_mats", "_subring_closure",
+                "_subring_units")
+
+
+def home(name):
+    """The module whose binding of ``name`` the genus route looks up."""
+    return kernel if name in KERNEL_NAMES else orders
+
+
+def forbid(monkeypatch, *names, module=None):
     for name in names:
         def fail(*args, name=name):
             raise AssertionError(f"{name} was called")
 
-        monkeypatch.setattr(module, name, fail)
+        monkeypatch.setattr(module or home(name), name, fail)
 
 
-def spy(monkeypatch, name, module=orders):
+def spy(monkeypatch, name, module=None):
+    module = module or home(name)
     calls = []
     real = getattr(module, name)
 
@@ -1037,7 +1062,7 @@ def brute_cosets(spec):
     basis, additive = orders._closure(shape, rows, 10**6)
     blocks = list(zip(shape.blocks, shape.offsets))
     met = set()
-    for chunk in matrices._elements(shape, basis, additive):
+    for chunk in kernel._elements(shape, basis, additive):
         for row in chunk.tolist():
             d = [matrices._laplace(row[off : off + r * r], r, m) for r, off in blocks]
             if all(gcd(x, m) == 1 for x in d):
@@ -1100,14 +1125,14 @@ class TestShortcuts:
         monkeypatch.setattr(orders, "_insert", insert)
         for chunk, name in ((matrices._CHUNK, "_mul_lists"), (0, "_mul_rows")):
             monkeypatch.setattr(matrices, "_CHUNK", chunk)
-            real_mul = getattr(orders, name)
+            real_mul = getattr(home(name), name)
 
             def mul(*args, real_mul=real_mul):
                 products.append(whole[0])
                 return real_mul(*args)
 
             whole[0], products[:] = False, []
-            monkeypatch.setattr(orders, name, mul)
+            monkeypatch.setattr(home(name), name, mul)
             assert subring_size(spec) == spec.m**width
             assert whole[0] and products and not any(products), name
 
@@ -1147,8 +1172,7 @@ class TestShortcuts:
         # _CHUNK = 0 the numpy route takes no product either, and agrees
         forbid(monkeypatch, "_mul_rows", "_mul_lists")
         with monkeypatch.context() as patch:
-            forbid(patch, "_elements", "_block_dets", "_count")
-            forbid(patch, "_combinations", module=matrices)
+            forbid(patch, "_elements", "_block_dets", "_count", "_combinations")
             for m in range(2, 161):
                 assert genus(pullback_spec(m)).total == genus_pullback_formula(m), m
         genus_relative.cache_clear()
@@ -1224,7 +1248,7 @@ class TestShortcuts:
             gens = [tuple(rng.choice(unit) for _ in range(k))
                     for _ in range(rng.randint(0, 4))]
             arr = np.array(gens, dtype=np.int64).reshape(-1, k)
-            rows = orders._span(arr, m).tolist()
+            rows = kernel._span(arr, m).tolist()
             group, frontier = {(1,) * k}, [(1,) * k]
             while frontier:
                 frontier = [
@@ -1250,8 +1274,8 @@ class TestShortcuts:
             shape = matrices._shape(m, blocks)
             rows = [orders._mats_to_row(t) for t in spec.generators]
             basis, additive = orders._closure(shape, rows, 10**6)
-            dets = [matrices._block_dets(shape, c)
-                    for c in matrices._elements(shape, basis, additive)]
+            dets = [kernel._block_dets(shape, c)
+                    for c in kernel._elements(shape, basis, additive)]
             assert len(dets) > 1
             k, base = len(blocks), m // 2 + 2
             least = -(-base**k // 8)
@@ -1259,7 +1283,7 @@ class TestShortcuts:
             counts = []
             for size in (least, least - 1):
                 merges.clear()
-                counts.append(orders._count(m, k, dets, size))
+                counts.append(kernel._count(m, k, dets, size))
                 assert bool(merges) == (size < least)
             assert counts == [len(brute_cosets(spec))] * 2, spec
 
@@ -1368,7 +1392,7 @@ class TestCosetCount:
                     for lo in range(0, 64, 16)]
             for size in ((m // 2 + 2) ** k, 0):
                 merges.clear()
-                assert orders._count(m, k, dets, size) == want, (k, size)
+                assert kernel._count(m, k, dets, size) == want, (k, size)
                 assert bool(merges) == (size == 0)
 
     def test_count_of_a_group_is_its_span(self, monkeypatch):
@@ -1388,16 +1412,16 @@ class TestCosetCount:
             basis, additive = orders._closure(shape, rows, 10**30)
             if prod(additive) > 400:
                 continue
-            dets = np.concatenate([matrices._block_dets(shape, c) for c in
-                                   matrices._elements(shape, basis, additive)])
+            dets = np.concatenate([kernel._block_dets(shape, c) for c in
+                                   kernel._elements(shape, basis, additive)])
             units = np.asfortranarray(dets[np.gcd(dets, m).max(axis=1) == 1])
             sort = checked % 2 == 1
             merges.clear()
             monkeypatch.setattr(matrices, "_CHUNK", 0 if sort else chunk)
-            count = orders._count(m, k, [units], 0 if sort else len(units))
+            count = kernel._count(m, k, [units], 0 if sort else len(units))
             assert bool(merges) == sort
             monkeypatch.setattr(matrices, "_CHUNK", chunk)
-            assert count == len(orders._span(units, m)) == len(brute_cosets(spec)), spec
+            assert count == len(kernel._span(units, m)) == len(brute_cosets(spec)), spec
             checked += 1
 
     @pytest.mark.parametrize("blocks, m", BENCH_SHAPES,
@@ -1414,10 +1438,10 @@ class TestCosetCount:
         merges = spy(monkeypatch, "_distinct_rows")
         shape = matrices._shape(m, blocks)
         basis, additive = orders._closure(shape, [], 10**6)
-        dets = [matrices._block_dets(shape, c)
-                for c in matrices._elements(shape, basis, additive)]
+        dets = [kernel._block_dets(shape, c)
+                for c in kernel._elements(shape, basis, additive)]
         assert len(dets) == 1
-        count = orders._count(m, len(blocks), dets, prod(additive))
+        count = kernel._count(m, len(blocks), dets, prod(additive))
         assert count == len(brute_cosets(spec)) and not merges
 
 
@@ -1472,6 +1496,7 @@ for argv in (["genus-pullback", "35"], ["genus-atom", "A(5)@6"], ["table-A"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert genuskit.cli.main(argv + ["--json"]) == 0, argv
 assert "numpy" not in sys.modules
+assert "genuskit.kernel" not in sys.modules
 """
         run = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
                              capture_output=True, text=True, timeout=120)
@@ -1479,19 +1504,39 @@ assert "numpy" not in sys.modules
 
     @pytest.mark.parametrize("call, answer", [
         ("len(genuskit.enumerate_gl(2, 3))", 48),
+        ("len(genuskit.stable_image(2, 3))", 48),
         ("genuskit.genus(genuskit.matrix_pullback_spec(15, 2)).total", 4),
-    ], ids=["gl", "above-one-chunk"])
+        ("len(genuskit.subring_closure(genuskit.pullback_spec(6)))", 6),
+    ], ids=["gl", "stable-image", "above-one-chunk", "subring-closure"])
     def test_the_row_kernel_imports_numpy(self, subprocess_env, call, answer):
         script = f"""
 import sys
 import genuskit
-assert "numpy" not in sys.modules
+assert "numpy" not in sys.modules and "genuskit.kernel" not in sys.modules
 assert {call} == {answer}
-assert "numpy" in sys.modules
+assert "numpy" in sys.modules and "genuskit.kernel" in sys.modules
 """
         run = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
+
+
+    def test_only_the_kernel_imports_numpy(self):
+        # every import of numpy in the package, at any depth, is the one at
+        # the top of genuskit.kernel
+        found = []
+        for path in sorted(Path(orders.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                if any(n.split(".")[0] == "numpy" for n in names):
+                    found.append((path.name, node in tree.body))
+        assert found == [("kernel.py", True)]
 
 
 class TestResourceLimitFields:
