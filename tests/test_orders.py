@@ -1479,7 +1479,8 @@ class TestPrimeRoute:
     def test_one_chunk_queries_import_no_numpy(self, subprocess_env, tmp_path):
         # the test modules import numpy themselves, so the queries run in a
         # fresh interpreter: one genus per shape of the matrix-orders and
-        # big-ambient benchmark workloads, and the CLI verbs of catalog
+        # big-ambient benchmark workloads, and every CLI verb and check of
+        # catalog
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(order_spec_to_dict(spec_1x1(12, [(1, 5)]))))
         script = f"""
@@ -1491,7 +1492,9 @@ for blocks, m in {[tuple(x) for x in BENCH_SHAPES]!r}:
                                for j in range(r)]) for r in blocks)
     genus(OrderSpec(m=m, blocks=blocks, generators=(gen,)))
 for argv in (["genus-pullback", "35"], ["genus-atom", "A(5)@6"], ["table-A"],
-             ["genus-order", {str(spec_path)!r}],
+             ["totient", "4999"], ["gl-order", "2", "5"], ["stable-image", "3", "3"],
+             ["genus-order", {str(spec_path)!r}], ["double-cosets", {str(spec_path)!r}],
+             ["check", "--only", "atom-table"], ["check", "--only", "genus-one-catalog"],
              ["check", "--only", "same-genus-classes"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert genuskit.cli.main(argv + ["--json"]) == 0, argv
