@@ -1,8 +1,8 @@
 """The numpy int64 row kernel, and all that runs on it: the enumerations of
 GL(r, Z/m) and of the stable image, the closure levels above one chunk of
-multiply-adds, the probe and the streamed scan of a subring above one
-chunk, and the bodies of the oracle builders subring_closure and
-subring_units.
+multiply-adds, the probes and lift scans of the prime-power factors of a
+genus count that pass one chunk, and the bodies of the oracle builders
+subring_closure and subring_units.
 
 This is the one module that imports numpy, once, at its top, and nothing
 imports it at load time: the public functions of :mod:`genuskit.matrices`
@@ -17,8 +17,8 @@ process at all.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import gcd, prod
+from itertools import chain, product
+from math import prod
 
 import numpy as np
 
@@ -38,16 +38,13 @@ from .rings import is_sign, prime_powers
 # small genus.
 
 
-@lru_cache(maxsize=16)
-def _coset_lut(m: int) -> np.ndarray:
-    """The digit nu(d) + 1, for nu(d) = min(d, m - d), naming the coset
-    {d, -d} of {+-1} at a unit d, and 0 at the multiples of the primes of m;
-    16 int32 tables cost 64*m bytes."""
-    lut = np.arange(1, m + 1, dtype=np.int32 if m < 2**31 - 1 else np.int64)
-    lut[m // 2 + 1 :] = lut[(m - 1) // 2 : 0 : -1]
+def _units(m: int) -> np.ndarray:
+    """The mask of the units among the residues mod m: the multiples of
+    each prime of m struck out."""
+    mask = np.ones(m, dtype=bool)
     for p, _ in prime_powers(m):
-        lut[::p] = 0
-    return lut
+        mask[::p] = False
+    return mask
 
 
 def _mul_rows(shape: _Shape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,15 +143,15 @@ def _elements(shape: _Shape, basis, additive: list[int]):
 # -- GL and the stable image ----------------------------------------------------
 
 
-def _gl_flat(r: int, m: int, lut: np.ndarray | None = None) -> np.ndarray:
+def _gl_flat(r: int, m: int, mask: np.ndarray | None = None) -> np.ndarray:
     """Ascending codes of the r x r matrices mod m whose determinant d has
-    lut[d] True, filtered from the _elements of the standard basis, whose
-    element i has base-m code i.  The default lut, the units mod m, gives
+    mask[d] True, filtered from the _elements of the standard basis, whose
+    element i has base-m code i.  The default mask, the units mod m, gives
     GL(r, Z/m); criterion 4 passes the signs +-1."""
     shape = _shape(m, (r,))
-    lut = _coset_lut(m) > 0 if lut is None else lut
+    mask = _units(m) if mask is None else mask
     chunks = _elements(shape, np.eye(r * r, dtype=np.int64), [m] * (r * r))
-    return np.flatnonzero(np.concatenate([lut[_block_dets(shape, rows)[:, 0]]
+    return np.flatnonzero(np.concatenate([mask[_block_dets(shape, rows)[:, 0]]
                                           for rows in chunks]))
 
 
@@ -242,110 +239,112 @@ def _level_products(shape: _Shape, level: list[list[int]], gens: list[list[int]]
         yield _mul_rows(shape, level[lo : lo + step], right).reshape(-1, width).tolist()
 
 
-# A unit d and m - d make up its coset of {+-1}, so the coset of a tuple is
-# named by nu(d) = min(d, m - d) in each block, and counted by its _codes,
-# never decoded: the base-B numbers, B = m//2 + 2, whose digits nu(d) + 1
-# the table _coset_lut holds.  A non-unit has the digit 0 there, so the
-# codes of unit rows are the codes with no zero digit.  The probe takes
-# _PROBE elements of S; see the shortcuts of genuskit.orders.
+# -- prime-power factors of the genus count -----------------------------------
+#
+# orders._prime_cosets sends here each factor q = p^e of m whose p^n lifts
+# of S_q/pS_q, or whose D_q, may pass one chunk.  The lifts are enumerated
+# mod q by _elements, or _PROBE of them taken at a fixed stride for the
+# probe.  At e = 1 D_q is their distinct unit determinant rows, as base-q
+# codes; at e > 1, for the probe, and where those codes would leave int64,
+# the group those rows generate is a Howell lattice of discrete logs
+# (J. A. Howell, 1986), never a set of its elements.
 _PROBE = 256
 
 
-def _codes(lut: np.ndarray, dets: np.ndarray, base: int) -> np.ndarray:
-    """The base-``base`` codes of the rows of ``dets`` whose digits are
-    their lut entries, the first block most significant; base**k < 2^63.
-    They are accumulated a block at a time in one int64 column."""
-    codes = lut[dets[:, 0]].astype(np.int64)
-    for j in range(1, dets.shape[1]):
-        codes *= base
-        codes += lut[dets[:, j]]
-    return codes
+def _outside(basis: dict, m: int, v: np.ndarray) -> np.ndarray:
+    """The mask of the rows of v outside the span of the Howell basis of
+    orders._insert over Z/m: each row is reduced column by column, which
+    leaves a nonzero remainder exactly where it lies outside."""
+    v = v.copy()
+    for j in sorted(basis):
+        row, d = basis[j]
+        v -= v[:, j, None] // d * np.array(row, dtype=np.int64)
+        v %= m
+    return v.any(axis=1)
 
 
-def _count(m: int, k: int, dets, size: int) -> int:
-    """The number of cosets of {+-1}^k that the unit rows among the chunks
-    ``dets`` of determinant tuples meet, at most ``size`` rows in all.  When
-    the B^k bytes of a boolean map over the codes, B = m//2 + 2, are at most
-    those of one int64 column of max(size, _CHUNK) rows, every row's code
-    marks the map, and the count is of the marked codes with no zero digit,
-    the sub-box from digit 1 up in every block.  Otherwise the unit rows of
-    each chunk, as codes or, where B^k >= 2^63 would leave int64, as digit rows,
-    are deduplicated on their own and merged once at the end."""
-    lut, base = _coset_lut(m), m // 2 + 2
-    if base**k <= 8 * max(size, matrices._CHUNK):
-        seen = np.zeros(base**k, dtype=bool)
-        for d in dets:
-            seen[_codes(lut, d, base)] = True
-        return int(np.count_nonzero(seen.reshape((base,) * k)[(slice(1, None),) * k]))
-    units = (d[lut[d].min(axis=1) > 0] for d in dets)
-    if base**k < 2**63:
-        chunks = (_codes(lut, d, base) for d in units)
+def _generator(p: int, e: int) -> int:
+    """A generator of the cyclic group (Z/p^e)^x for an odd prime p: the
+    least primitive root g mod p, or g + p where g^(p-1) = 1 mod p^2."""
+    primes = [l for l, _ in prime_powers(p - 1)]
+    g = next(g for g in range(2, p + 1) if all(pow(g, (p - 1) // l, p) != 1 for l in primes))
+    return g + p if e > 1 and pow(g, p - 1, p * p) == 1 else g
+
+
+def _lattice(chunks, p: int, e: int, k: int) -> tuple[int, set]:
+    """|G|, and the sign tuples in G, for the subgroup G of ((Z/q)^x)^k,
+    q = p^e, that the unit rows of ``chunks`` generate, held as the Howell
+    basis over Z/phi(q) of the discrete logs of its elements.  A log is read
+    from a table of the powers of a generator, one per block for odd q; as
+    (Z/2^e)^x = <-1> x <5> is not cyclic, there it is two, a*phi/2 and 2b
+    for u = (-1)^a 5^b.  A row outside the span grows it at least twofold,
+    so rows are inserted one per pass of _outside.  The sign tuples in G
+    are the sums of the second halves of the rows whose first half vanishes
+    in the Howell basis of (v, v) for v in G and (t, 0) for the log t of -1
+    in each block: the basis of G's meet with {+-1}^k, each of order 2."""
+    q, phi = p**e, p ** (e - 1) * (p - 1)
+    n, g = (max(phi // 2, 1), 5) if p == 2 else (phi, _generator(p, e))
+    power, done = np.ones(n, dtype=np.int64), 1
+    while done < n:  # the powers g^i mod q, by doubling
+        power[done : 2 * done] = power[: min(done, n - done)] * pow(g, done, q) % q
+        done *= 2
+    table = np.zeros(q, dtype=np.int64)
+    table[q - power] = table[power] = np.arange(n)  # odd q: the powers are all units
+    width, basis = k * (2 if p == 2 else 1), {}
+    for units in chunks:
+        logs = table[units]
+        if p == 2:
+            logs = np.stack((units % 4 // 3 * (phi // 2), 2 * logs % phi), axis=2)
+            logs = logs.reshape(len(units), width)
+        while len(logs := logs[_outside(basis, phi, logs)]):
+            orders._insert(basis, phi, logs[0].tolist())
+    both, cols = {}, range(0, width, width // k)  # the column of each block's sign
+    for v in [row + row for row, _ in basis.values()] + [
+            [phi // 2 * (j == i) for j in range(width)] + [0] * width for i in cols]:
+        orders._insert(both, phi, v)
+    signs = [[0] * width]
+    for row in (row[width:] for j, (row, _) in both.items() if j >= width):
+        signs += [[(x + y) % phi for x, y in zip(v, row)] for v in signs]
+    return (prod(phi // d for _, d in basis.values()),
+            {tuple(q - 1 if v[i] else 1 for i in cols) for v in signs})
+
+
+def _factor(shape: _Shape, rows: list[list[int]], p: int, e: int,
+            probe: bool) -> tuple[int, set]:
+    """|G|, and the sign tuples in G, for G = D_q, q = p^e, from the lifts
+    sum c_j * rows[j], 0 <= c_j < p, of S_q/pS_q and the steps
+    det(1 + p^i rows[j]); with ``probe``, G is the subgroup of D_q that the
+    steps and the lifts at the indices i*t mod p^n, i < _PROBE, generate,
+    for t the integer nearest p^n/phi, phi the golden ratio, made prime to p."""
+    q, n, k = p**e, len(rows), len(shape.blocks)
+    shape = _shape(q, shape.blocks)
+    basis = np.array(rows, dtype=np.int64).reshape(n, shape.width)
+    if probe:
+        size = p**n
+        stride = round(size * (5**0.5 - 1) / 2)
+        stride += stride % p == 0
+        index = np.array([i * stride % size for i in range(_PROBE)], dtype=np.int64)
+        chunks = [_combinations(basis, [p] * n, index, q)]
     else:
-        chunks = (lut[d] for d in units)
-    return len(_distinct_rows(np.concatenate([_distinct_rows(c) for c in chunks])))
-
-
-def _span(gens: np.ndarray, m: int) -> np.ndarray:
-    """A unit row for each coset of {+-1}^k in the subgroup of Q generated
-    by the unit rows among ``gens``; its _codes need B^k < 2^63.
-
-    The group is abelian, so adjoining g to a subgroup G gives the union of
-    the cosets g^i*G for i < j, where j is the least power with g^j in G.
-    That union is built by doubling: if T holds the first n cosets, T and
-    g^n*T together hold the first 2n, and T is the whole union exactly when
-    g^n lies in T, that is when g^n*T adds no coset to T, as T holds 1.
-    Each extension is one membership pass against the sorted codes of T, so
-    adjoining g takes about log2(j) extensions, and all of them together
-    number at most log2 of the order of the span.
-    """
-    lut = _coset_lut(m)
-    gens = gens[lut[gens].min(axis=1) > 0]
-    k, base = gens.shape[1], m // 2 + 2
-    group = np.full((1, k), 1 % m, dtype=np.int64)
-    # the sorted codes of the group, closed by a sentinel above every code
-    codes = np.append(_codes(lut, group, base), base**k)
-
-    def outside(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows whose cosets the group lacks, and their codes."""
-        c = _codes(lut, rows, base)
-        new = codes[codes.searchsorted(c)] != c
-        return rows[new], c[new]
-
-    while len(gens := outside(gens)[0]):
-        power = gens[0]
-        while len((fresh := outside(group * power % m))[0]):
-            group = np.concatenate((group, fresh[0]))
-            codes = np.sort(np.concatenate((codes, fresh[1])))
-            power = power * power % m
-    return group
-
-
-def _probe(basis: list[list[int]], additive: list[int], m: int) -> np.ndarray:
-    """_PROBE elements of the subring, at the indices i*t mod |S| for i
-    below _PROBE: t is the integer nearest |S|/phi for the golden ratio phi,
-    raised to the next value prime to |S|, so the indices are distinct and
-    spread evenly over the whole index space, leading digits included."""
-    size = prod(additive)
-    stride = round(size * (5**0.5 - 1) / 2)
-    while gcd(stride, size) != 1:
-        stride += 1
-    index = np.array([i * stride % size for i in range(_PROBE)], dtype=np.int64)
-    return _combinations(np.array(basis, dtype=np.int64), additive, index, m)
-
-
-def _genus_by_scan(shape: _Shape, basis: list[list[int]], additive: list[int],
-                   size: int, full: int) -> int:
-    """The genus |Q| // c, for |Q| = ``full``, of the subring of ``size``
-    elements above one chunk with this Howell basis: 1 when the probe's
-    cosets already span Q, which is tried only when |S| >= |Q| and its
-    codes fit int64, and otherwise |Q| over the count c of the chunked scan
-    of S."""
-    m, k = shape.m, len(shape.blocks)
-    if size >= full and (m // 2 + 2) ** k < 2**63:
-        if len(_span(_block_dets(shape, _probe(basis, additive, m)), m)) == full:
-            return 1
-    dets = (_block_dets(shape, rows) for rows in _elements(shape, basis, additive))
-    return full // _count(m, k, dets, size)
+        chunks = _elements(shape, basis, [p] * n)
+    if e > 1:
+        identity = np.concatenate([np.eye(r, dtype=np.int64).ravel() for r in shape.blocks])
+        steps = (identity + (p ** np.arange(1, e))[:, None, None] * basis) % q
+        chunks = chain(chunks, [steps.reshape(-1, shape.width)])
+    unit = _units(q)
+    dets = ((d, np.logical_and.reduce([unit[d[:, j]] for j in range(k)]))
+            for d in (_block_dets(shape, lifts) for lifts in chunks))
+    if probe or e > 1 or q**k >= 2**63:  # or where base-q codes would leave int64
+        return _lattice((d[units] for d, units in dets), p, e, k)
+    place = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    found = _distinct_rows(np.concatenate([
+        _distinct_rows(sum(d[:, j] * place[j] for j in range(k))[units]) for d, units in dets]))
+    if len(found) >= 2**k:  # the codes of the 2^k sign tuples, looked up
+        signs = np.array(list(product((1, q - 1), repeat=k)), dtype=np.int64)
+        hit = found[found.searchsorted(signs @ place).clip(max=len(found) - 1)] == signs @ place
+        return len(found), set(map(tuple, signs[hit].tolist()))
+    rows = found[:, None] // place % q  # D_q, scanned for its signs
+    return len(found), set(map(tuple, rows[is_sign(rows, q).all(axis=1)].tolist()))
 
 
 # -- oracle builders ------------------------------------------------------------

@@ -25,8 +25,8 @@ from .rings import Residue, prime_powers, sign_count, totient
 # For orders.genus and orders.subring_closure it bounds |S|, the number of
 # subring elements, and hence m, since the subring holds all m scalars.  The
 # subring is held as a basis, so |S| is exact before any element exists; the
-# cap is checked then, and the elements are only ever scanned a chunk at a
-# time.
+# cap is checked then, and the genus route scans only lifts of S/pS, a chunk
+# at a time.
 DEFAULT_CAP = 2_000_000
 
 
@@ -222,11 +222,11 @@ def elementary_generators(r: int, m: int) -> list[MatModM]:
 # entries of every block, concatenated, reduced into 0..m-1.  MatModM
 # appears only at the public boundary, where mat_mul and det take exact
 # Python ints.  _CHUNK divides the work between Python ints and numpy: a
-# subring of at most _CHUNK elements, and a closure level of at most _CHUNK
-# multiply-adds, stay on Python lists, which spares a small query the
-# time and memory of importing numpy and of compiling genuskit.kernel;
-# past that the rows are the numpy int64 rows of that kernel, which reads
-# _CHUNK from here at each call.
+# closure level of at most _CHUNK multiply-adds, and a prime-power factor
+# of a genus count whose lifts fit one chunk, stay on Python lists, which
+# spares a small query the time and memory of importing numpy and of
+# compiling genuskit.kernel; past that the rows are the numpy int64 rows
+# of that kernel, which reads _CHUNK from here at each call.
 _CHUNK = 1 << 15
 
 

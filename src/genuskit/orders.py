@@ -20,16 +20,14 @@ therefore normal in U with abelian quotient, and
 for k blocks, sigma(m) = |{+-1}| and c the number of cosets of {+-1}^k that
 det(K) meets.  The subring S is held as a Howell basis over Z/m, so |S| is
 exact before any element exists, and that size is the only size limit.  A
-whole ring, a level with phi(m) = sigma(m), and a subring above one chunk
-whose probe already meets every coset have genus 1 without a count of c.
-A subring of at most one chunk counts c on Python ints, one prime power
-of m at a time, from lifts of S/pS; a larger one counts it over a streamed
-scan of S, a chunk of int64 rows of the numpy row kernel at a time, which
-never holds all of S.  That route, a closure level above one chunk of
-multiply-adds, and the bodies of the oracle builders subring_closure and
-subring_units live in :mod:`genuskit.kernel`, which is imported, with
+whole ring and a level with phi(m) = sigma(m) have genus 1 without a count
+of c.  Otherwise c is counted one prime power of m at a time, from lifts of
+S/pS, on Python ints where they and S fit one chunk, and by the numpy row
+kernel of :mod:`genuskit.kernel` where they do not; that module also holds
+a closure level above one chunk of multiply-adds and the bodies of the
+oracle builders subring_closure and subring_units, and is imported, with
 numpy, only when one of them first runs.  The generic engine in
-:mod:`genuskit.cosets` is the test oracle for both routes.
+:mod:`genuskit.cosets` is the test oracle for the count.
 
 genus_relative keeps its last 64 answers, keyed by the frozen OrderSpec and
 the cap, so an order asked again in one process (pullback levels shared by
@@ -381,23 +379,15 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[list[list[int]], list[i
 #
 # The genus is |Q| / c for Q = ((Z/m)^x)^k / {+-1}^k, which has
 # (phi(m)/sigma(m))^k elements, and c the number of cosets of {+-1}^k that
-# D = det(K) meets.  Three shortcuts settle genus 1 before c is counted, and
-# all are exact:
+# D = det(K) meets.  Two shortcuts settle genus 1 before c is counted: S is
+# the whole ring when every Howell pivot is 1, and det maps its units,
+# prod GL(r_i, Z/m), onto ((Z/m)^x)^k; and Q is trivial when phi(m) =
+# sigma(m), that is for m in {1, 2, 3, 4, 6}.
 #
-# - S is the whole ring when every Howell pivot is 1.  det maps its units,
-#   prod GL(r_i, Z/m), onto ((Z/m)^x)^k, so the index is 1.
-# - Q is trivial when phi(m) = sigma(m), that is for m in {1, 2, 3, 4, 6}.
-# - Above one chunk, a probe of kernel._PROBE elements of S, at a fixed
-#   stride through the mixed-radix index space of the basis, gives cosets
-#   that span a subgroup of the image of D in Q; when that is all of Q the
-#   genus is 1, and otherwise the scan decides.  It is taken only when
-#   |S| >= |Q|, as K meets at most |S| cosets.  It needs no random numbers,
-#   and so no import of numpy.random.
-#
-# A subring of at most _CHUNK elements counts c on Python ints, one prime
-# power q = p^e || m at a time, in _prime_cosets.  By the CRT, S, K and D
-# are the products of their images S_q, K_q and D_q = det(K_q) mod q, while
-# a sign tuple s in {+-1}^k lies in every factor at once, so
+# _prime_cosets counts c one prime power q = p^e || m at a time.  By the
+# CRT, S, K and D are the products of their images S_q, K_q and D_q =
+# det(K_q) mod q, while a sign tuple s in {+-1}^k lies in every factor at
+# once, so
 #
 #     c = |D| / |D meet {+-1}^k|
 #       = prod_q |D_q| / #{s in {+-1}^k : s mod q in D_q for every q}.
@@ -409,22 +399,24 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[list[list[int]], list[i
 # (1 + p^i x)(1 + p^i y) = 1 + p^i (x + y) modulo p^(i+1) S_q, the group
 # 1 + pS_q is generated by the 1 + p^i b_j for 1 <= i < e, and D_q is the
 # closure of the lifts' unit determinant tuples under det(1 + p^i b_j).
-# The lifts, D_q and so the whole count take O(|S|) tuple operations.
 #
-# A subring above one chunk takes the probe and the streamed scan of
-# genuskit.kernel, which count the cosets of the determinant tuples by
-# their codes.
+# A subring above one chunk, where |S| >= |Q| (K meets at most |S| cosets),
+# first takes a probe of each factor through the kernel: the subgroup of
+# D_q from kernel._PROBE lifts at a fixed stride, with no random numbers.
+# When the probe groups, joined across the primes as above, meet all |Q|
+# cosets, so does D, and the genus is 1.  Asking instead that each probe
+# group be all of ((Z/q)^x)^k would miss every D that lacks signs.
 
 
 def _subgroup(gens, k: int, q: int) -> set[tuple[int, ...]]:
     """The subgroup of ((Z/q)^x)^k that the unit tuples ``gens`` generate.
 
-    As in the kernel's _span, adjoining g to a subgroup G gives the union
-    of the cosets g^i*G for i < j, the least power with g^j in G, built by
-    doubling: if T holds the first n cosets, T and g^n*T hold the first 2n,
-    and T is the whole union exactly when g^n lies in T.  So adjoining g
-    takes about log2(j) passes, each multiplying T a column at a time, and
-    a g that adds nothing costs one lookup.
+    Adjoining g to a subgroup G gives the union of the cosets g^i*G for
+    i < j, the least power with g^j in G, built by doubling: if T holds the
+    first n cosets, T and g^n*T hold the first 2n, and T is the whole union
+    exactly when g^n lies in T.  So adjoining g takes about log2(j) passes,
+    each multiplying T a column at a time, and a g that adds nothing costs
+    one lookup.
     """
     group = {(1,) * k}
     for power in gens:
@@ -436,44 +428,57 @@ def _subgroup(gens, k: int, q: int) -> set[tuple[int, ...]]:
 
 
 def _prime_cosets(shape: _Shape, basis: list[list[int]], additive: list[int],
-                  factors: list[tuple[int, int]]) -> int:
-    """c, the number of cosets of {+-1}^k that det(K) meets, counted on
-    Python ints one prime power q = p^e of ``factors`` at a time, from the
-    lifts of S_q/pS_q and the generators det(1 + p^i b_j) of det(1 + pS_q),
-    as prod_q |D_q| over the number of sign tuples that lie in every D_q.
-    A sign tuple is kept as its entries' truth of s_i == 1, the same for
+                  factors: list[tuple[int, int]], full: int) -> int:
+    """c, the number of cosets of {+-1}^k that det(K) meets, counted one
+    prime power q = p^e of ``factors`` at a time, from the lifts of S_q/pS_q
+    and the generators det(1 + p^i b_j) of det(1 + pS_q), as prod_q |D_q|
+    over the number of sign tuples that lie in every D_q.  A factor whose
+    lifts fit one chunk, and at e > 1 whose subring does too, is counted
+    on Python ints, and any other by kernel._factor, which gives |D_q| and
+    the sign tuples in D_q, all that the join reads; the kernel's probes
+    come first where |S| passes one chunk and |S| >= |Q| = ``full``.  A
+    sign tuple is kept as its entries' truth of s_i == 1, the same for
     every q > 2; mod 2 every sign is 1, which lies in D_2."""
     blocks, k = list(zip(shape.blocks, shape.offsets)), len(shape.blocks)
     identity = [int(i == j) for r in shape.blocks for i in range(r) for j in range(r)]
-    met, signs = 1, None
-    for p, e in factors:
-        q = p**e
-        rows = [[x % q for x in row] for row, a in zip(basis, additive) if a % p == 0]
-        # the lifts as one list per entry, each row adding its p multiples
-        cols = [[0] for _ in identity]
-        for row in rows:
-            cols = [[x + c * b for c in range(p) for x in col] if b else col * p
-                    for col, b in zip(cols, row)]
-        lifts = zip(*(_laplace_lists(cols[off : off + r * r], r, q) for r, off in blocks))
-        found = set(filter(set(range(0, q, p)).isdisjoint, set(lifts)))
-        if e > 1:  # else pS_q = 0, the lifts are S_q and found is D_q
-            near = ([(u + p**i * b) % q for u, b in zip(identity, row)]
-                    for i in range(1, e) for row in rows)
-            steps = (tuple(_laplace(v[off : off + r * r], r, q) for r, off in blocks)
-                     for v in near)
-            found = _subgroup(chain(found, steps), k, q)
-        met *= len(found)
-        if q > 2 and signs is None and 2**k > len(found):  # scan D_q for signs
-            signs = {tuple(x == 1 for x in d) for d in filter({1, q - 1}.issuperset, found)}
-        elif q > 2:  # look the sign tuples still in the running up in D_q
-            pool = product((True, False), repeat=k) if signs is None else signs
-            signs = {s for s in pool if tuple(1 if t else q - 1 for t in s) in found}
-    return met // (1 if signs is None else len(signs))
+    size = prod(additive)
+    for probe in (True, False) if size > matrices._CHUNK and size >= full else (False,):
+        met, signs = 1, None
+        for p, e in factors:
+            q = p**e
+            rows = [[x % q for x in row] for row, a in zip(basis, additive) if a % p == 0]
+            if probe or p ** len(rows) > matrices._CHUNK or (e > 1 and size > matrices._CHUNK):
+                from . import kernel
+                count, found = kernel._factor(shape, rows, p, e, probe)
+            else:
+                # the lifts as one list per entry, each row adding its p multiples
+                cols = [[0] for _ in identity]
+                for row in rows:
+                    cols = [[x + c * b for c in range(p) for x in col] if b else col * p
+                            for col, b in zip(cols, row)]
+                lifts = zip(*(_laplace_lists(cols[off : off + r * r], r, q) for r, off in blocks))
+                found = set(filter(set(range(0, q, p)).isdisjoint, set(lifts)))
+                if e > 1:  # else pS_q = 0, the lifts are S_q and found is D_q
+                    near = ([(u + p**i * b) % q for u, b in zip(identity, row)]
+                            for i in range(1, e) for row in rows)
+                    steps = (tuple(_laplace(v[off : off + r * r], r, q) for r, off in blocks)
+                             for v in near)
+                    found = _subgroup(chain(found, steps), k, q)
+                count = len(found)
+            met *= count
+            if q > 2 and signs is None and 2**k > len(found):  # scan D_q for signs
+                signs = {tuple(x == 1 for x in d) for d in filter({1, q - 1}.issuperset, found)}
+            elif q > 2:  # look the sign tuples still in the running up in D_q
+                pool = product((True, False), repeat=k) if signs is None else signs
+                signs = {s for s in pool if tuple(1 if t else q - 1 for t in s) in found}
+        c = met // (1 if signs is None else len(signs))
+        if c == full or not probe:
+            return c
 
 
 def _check_index(size: int) -> None:
-    """Refuse a scan or probe of a subring of ``size`` elements, before
-    either starts, when an index into it would leave int64."""
+    """Refuse a subring of ``size`` elements, before any count or scan
+    starts, when an index into it would leave int64."""
     if size >= 2**63:
         raise ResourceLimitError(
             f"the subring has {size} elements, past the int64 index range",
@@ -521,15 +526,12 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
         count = [((Z/m)^x)^k : D*{+-1}^k] = (phi(m)/sigma(m))^k / c
 
     where sigma(m) = |{+-1}| and c is the number of cosets of {+-1}^k that
-    D meets.  A whole-ring subring, or one above one chunk whose probe
-    already meets every coset, returns 1 without the scan of S.
+    D meets, counted by _prime_cosets.  A whole-ring subring returns 1.
     ``cap`` bounds the number of subring elements and, past the whole-ring
     return, the r*2^(r-1) terms of the largest block's determinant; past
     that return a subring of 2^63 elements or more is refused whatever the
     cap, as its indices would leave int64.  Where phi(m) = sigma(m) the
-    count is 1 from there.  A subring of at most _CHUNK elements is counted
-    prime by prime on Python ints, and a larger one by the probe and the
-    chunked scan of the numpy row kernel.
+    count is 1 from there.
     The last 64 answers are kept, keyed by (spec, cap) as passed; a
     ResourceLimitError is raised again on each call, never kept.
     """
@@ -552,10 +554,7 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
     full = (prod(p ** (e - 1) * (p - 1) for p, e in factors) // sign_count(m)) ** k
     if full == 1:
         return 1  # phi(m) = sigma(m): every unit is a sign, and Q is trivial
-    if size <= matrices._CHUNK:
-        return full // _prime_cosets(shape, basis, additive, factors)
-    from . import kernel
-    return kernel._genus_by_scan(shape, basis, additive, size, full)
+    return full // _prime_cosets(shape, basis, additive, factors, full)
 
 
 def genus(spec: OrderSpec, cap: int = DEFAULT_CAP) -> GenusResult:

@@ -332,11 +332,9 @@ class TestRowKernel:
             assert (len(chunks) > 1) == (chunk < size), chunk
             assert [row for c in chunks for row in c] == want, chunk
 
-    def test_coset_lut_names_the_sign_cosets_of_units(self):
+    def test_unit_mask_marks_the_units(self):
         for m in [*range(1, 401), 510_510, 999_999, 1_000_003]:
-            d = np.arange(m)
-            want = np.where(np.gcd(d, m) == 1, np.minimum(d, m - d) + 1, 0)
-            assert np.array_equal(kernel._coset_lut(m), want), m
+            assert np.array_equal(kernel._units(m), np.gcd(np.arange(m), m) == 1), m
 
     @pytest.mark.parametrize(
         "r, m", [(1, m) for m in range(1, 13)] + [(2, m) for m in range(1, 8)]
@@ -347,13 +345,13 @@ class TestRowKernel:
         # by a Leibniz determinant on Python ints
         dets = [leibniz_det(MatModM(m, r, t))
                 for t in itertools.product(range(m), repeat=r * r)]
-        masks = [(kernel._coset_lut(m) > 0, lambda d: math.gcd(d, m) == 1),
+        masks = [(kernel._units(m), lambda d: math.gcd(d, m) == 1),
                  (is_sign(np.arange(m), m), lambda d: d in {1 % m, -1 % m})]
         for chunk in (7, matrices._CHUNK):
             monkeypatch.setattr(matrices, "_CHUNK", chunk)
-            for lut, keep in masks:
+            for mask, keep in masks:
                 want = [code for code, d in enumerate(dets) if keep(d)]
-                assert kernel._gl_flat(r, m, lut).tolist() == want, chunk
+                assert kernel._gl_flat(r, m, mask).tolist() == want, chunk
 
 
 class TestDistinctRows:
@@ -392,20 +390,22 @@ class TestDistinctRows:
 
     def test_genus_path_does_not_import_numpy_ma(self, subprocess_env):
         # np.unique imports numpy.ma on its first call, and numpy.random
-        # takes longer to import than a small genus; the genus path takes
-        # the probe of a proper subring above one chunk (upper triangular
-        # 2x2 at m = 36), the map of pullback_spec(12) and the sorted codes
-        # of pullback_spec(600)
+        # takes longer to import than a small genus; with _CHUNK = 0 the
+        # genus path takes the kernel's probes of a proper subring above one
+        # chunk (upper triangular 2x2 at m = 36), the lattice at 2^2 and the
+        # sorted codes at 3 of pullback_spec(12), and those of pullback_spec(600)
         code = (
             "import sys\n"
             "import genuskit.kernel as kernel\n"
+            "import genuskit.matrices as matrices\n"
             "from genuskit import MatModM, OrderSpec, genus, pullback_spec\n"
             "from genuskit import stable_image_order\n"
-            "probes, span = [], kernel._span\n"
-            "kernel._span = lambda *a: probes.append(1) or span(*a)\n"
+            "matrices._CHUNK = 0\n"
+            "probes, factor = [], kernel._factor\n"
+            "kernel._factor = lambda *a: probes.append(a[4]) or factor(*a)\n"
             "gens = ((MatModM(36, 2, (1, 0, 0, 0)),), (MatModM(36, 2, (0, 1, 0, 0)),))\n"
             "assert genus(OrderSpec(m=36, blocks=(2,), generators=gens)).total == 1\n"
-            "assert probes\n"
+            "assert probes and all(probes)\n"
             "assert genus(pullback_spec(12)).total == 2\n"
             "assert genus(pullback_spec(600)).total == 80\n"
             "assert stable_image_order(2, 5) == 240\n"

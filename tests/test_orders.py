@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import random
 import subprocess
@@ -1017,10 +1018,10 @@ def units_spec(m, blocks, cells):
 
 
 # the functions of the numpy route, which genuskit.kernel defines
-KERNEL_NAMES = ("_coset_lut", "_mul_rows", "_block_dets", "_distinct_rows",
+KERNEL_NAMES = ("_units", "_mul_rows", "_block_dets", "_distinct_rows",
                 "_combinations", "_elements", "_gl_flat", "_row_table",
-                "_right_products", "_stable_flat", "_group", "_codes", "_count",
-                "_span", "_probe", "_genus_by_scan", "_level_products",
+                "_right_products", "_stable_flat", "_group", "_outside",
+                "_generator", "_lattice", "_factor", "_level_products",
                 "_stable_against_signs", "_row_to_mats", "_subring_closure",
                 "_subring_units")
 
@@ -1049,6 +1050,22 @@ def spy(monkeypatch, name, module=None):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def unit_closure(gens, q, k):
+    """The subgroup of ((Z/q)^x)^k that the unit tuples ``gens`` generate,
+    by a breadth-first closure under the generators not already in it."""
+    group, kept = {(1 % q,) * k}, []
+    for g in gens:
+        if g not in group:
+            kept.append(g)
+            frontier = list(group)
+            while frontier:
+                frontier = [y for y in {tuple(a * b % q for a, b in zip(x, h))
+                                        for x in frontier for h in kept}
+                            if y not in group]
+                group.update(frontier)
+    return group
 
 
 def brute_cosets(spec):
@@ -1103,7 +1120,7 @@ BIG_TRIANGULAR = [
 class TestShortcuts:
     @pytest.mark.parametrize("spec", WHOLE_RINGS, ids=["3@5", "1,2@9"])
     def test_whole_ring_needs_no_scan(self, monkeypatch, spec):
-        forbid(monkeypatch, "_elements", "_span")
+        forbid(monkeypatch, "_prime_cosets", "_factor", "_elements")
         width = sum(r * r for r in spec.blocks)
         assert subring_size(spec) == spec.m**width
         assert genus(spec).total == 1
@@ -1138,32 +1155,48 @@ class TestShortcuts:
 
     @pytest.mark.parametrize("spec", BIG_TRIANGULAR, ids=["2@36", "2,2@9"])
     def test_probe_settles_a_proper_subring(self, monkeypatch, spec):
+        # above one chunk every factor is probed through the kernel, and
+        # their probe groups joined meet every coset, so no factor is
+        # counted in full, on Python ints or by the kernel's lift scan
         size = subring_size(spec)
         assert matrices._CHUNK < size < spec.m ** sum(r * r for r in spec.blocks)
-        forbid(monkeypatch, "_elements")
+        forbid(monkeypatch, "_elements", "_laplace_lists")
+        factors = spy(monkeypatch, "_factor")
         assert genus(spec).total == 1
+        assert factors and all(args[4] for args in factors)
 
     @pytest.mark.parametrize("spec", TRIANGULAR, ids=["2@12", "2,2@5"])
     def test_one_chunk_subring_takes_no_probe(self, monkeypatch, spec):
-        # 1,728 and 3,125 elements: one chunk, counted prime by prime with
-        # neither a probe nor the numpy scan, and the brute force agrees on
-        # genus 1; with _CHUNK = 0 the numpy route, probe and scan, agrees
+        # 1,728 and 3,125 elements: one chunk, counted prime by prime on
+        # Python ints with nothing of the kernel, neither a probe nor a lift
+        # scan, and the brute force agrees on genus 1; with _CHUNK = 0 every
+        # factor goes to the kernel, probe and lift scan, which agrees
         assert subring_size(spec) <= matrices._CHUNK
         assert brute_genus(spec) == 1
         with monkeypatch.context() as patch:
-            forbid(patch, "_probe", "_span", "_elements", "_block_dets")
+            forbid(patch, "_factor", "_elements", "_block_dets")
             assert genus(spec).total == 1
         genus_relative.cache_clear()
         monkeypatch.setattr(matrices, "_CHUNK", 0)
-        forbid(monkeypatch, "_prime_cosets")
+        factors = spy(monkeypatch, "_factor")
         assert genus(spec).total == 1
+        assert factors
 
     def test_genus_above_one_takes_the_full_scan(self, monkeypatch):
-        # 15^4 = 50625 elements, above one chunk; genus phi(15)/2 = 4
-        spans = spy(monkeypatch, "_span")
-        scans = spy(monkeypatch, "_elements")
-        assert genus(matrix_pullback_spec(15, 2)).total == 4
-        assert len(spans) == len(scans) == 1
+        # 15^4 = 50625 elements, above one chunk; genus phi(15)/2 = 4.  Both
+        # factors, 3 and 5, are probed through the kernel, the joined probe
+        # groups miss cosets, and each factor is then counted in full: its
+        # 3^4 and 5^4 lifts on Python ints, or with _CHUNK = 64 by the
+        # kernel's lift scan
+        for chunk, scans in ((matrices._CHUNK, 0), (64, 2)):
+            monkeypatch.setattr(matrices, "_CHUNK", chunk)
+            genus_relative.cache_clear()
+            factors = spy(monkeypatch, "_factor")
+            elements = spy(monkeypatch, "_elements")
+            assert genus(matrix_pullback_spec(15, 2)).total == 4
+            assert [(args[2], args[4]) for args in factors] == (
+                [(3, True), (5, True)] + [(3, False), (5, False)][: scans])
+            assert len(elements) == scans
 
     def test_small_pullback_takes_no_products_and_no_combinations(self, monkeypatch):
         # the generator (1, 1) is the identity, which the first level finds
@@ -1172,25 +1205,27 @@ class TestShortcuts:
         # _CHUNK = 0 the numpy route takes no product either, and agrees
         forbid(monkeypatch, "_mul_rows", "_mul_lists")
         with monkeypatch.context() as patch:
-            forbid(patch, "_elements", "_block_dets", "_count", "_combinations")
+            forbid(patch, "_elements", "_block_dets", "_factor", "_combinations")
             for m in range(2, 161):
                 assert genus(pullback_spec(m)).total == genus_pullback_formula(m), m
         genus_relative.cache_clear()
         monkeypatch.setattr(matrices, "_CHUNK", 0)
-        forbid(monkeypatch, "_prime_cosets")
+        forbid(monkeypatch, "_laplace_lists")
         for m in range(2, 161):
             assert genus(pullback_spec(m)).total == genus_pullback_formula(m), m
 
     def test_probe_skipped_when_index_one_is_impossible(self, monkeypatch):
         # |S| = 40009 scalars, above one chunk, but below the 20004^2
-        # cosets of {+-1}^2, so K cannot meet them all and genus > 1
-        forbid(monkeypatch, "_probe", "_span")
+        # cosets of {+-1}^2, so K cannot meet them all and genus > 1: the
+        # one factor's 40009 lifts are scanned by the kernel with no probe
+        factors = spy(monkeypatch, "_factor")
         assert genus(pullback_spec(40009)).total == genus_pullback_formula(40009)
+        assert [args[4] for args in factors] == [False]
 
     @pytest.mark.parametrize("spec", [WHOLE_RINGS[0], TRIANGULAR[0]],
                              ids=["whole", "triangular"])
     def test_genus_one_above_the_cap_still_raises(self, monkeypatch, spec):
-        forbid(monkeypatch, "_elements", "_span")
+        forbid(monkeypatch, "_elements", "_factor")
         size = subring_size(spec)
         with pytest.raises(ResourceLimitError, match=str(size)) as info:
             genus(spec, cap=size - 1)
@@ -1198,12 +1233,11 @@ class TestShortcuts:
 
     def test_shortcuts_match_the_scan(self, monkeypatch):
         # a diagonal copy repeats one generator in every block, which gives
-        # genus > 1; with 64-row chunks the probe and the numpy scan run on
-        # subrings small enough for the brute force, and those of at most
-        # 64 elements are counted prime by prime
+        # genus > 1; with 64-row chunks the kernel's probes and lift scans
+        # run on subrings small enough for the brute force, and subrings of
+        # at most 64 elements are counted on Python ints alone
         monkeypatch.setattr(matrices, "_CHUNK", 64)
-        spans, dets = spy(monkeypatch, "_span"), spy(monkeypatch, "_block_dets")
-        primes = spy(monkeypatch, "_prime_cosets")
+        factors = spy(monkeypatch, "_factor")
         rng = random.Random(2024)
         shapes = [((2,), (8, 9, 10, 12)), ((1, 2), (5, 6, 7)),
                   ((1, 1, 1), (12, 24, 30)), ((2, 2), (3, 4, 5, 6, 7, 8)),
@@ -1224,75 +1258,69 @@ class TestShortcuts:
             size = subring_size(spec)
             if size > 2_000:
                 continue
-            for calls in (spans, dets, primes):
-                calls.clear()
+            factors.clear()
             got = genus_relative.__wrapped__(spec)
             assert got == brute_genus(spec), spec
-            seen["prime by prime"] += bool(primes)
+            probed = any(args[4] for args in factors)
+            seen["prime by prime"] += size > 1 and not factors
             seen["whole"] += size == m ** sum(r * r for r in blocks)
-            seen["several chunks"] += len(dets) - len(spans) > 1  # a probe takes one
-            seen["probed, one"] += bool(spans) and got == 1
-            seen["probed, above one"] += bool(spans) and got > 1
+            seen["several chunks"] += any(not args[4] and args[2] ** len(args[1]) > 64
+                                          for args in factors)
+            seen["probed, one"] += probed and got == 1
+            seen["probed, above one"] += probed and got > 1
         assert min(seen.values()) >= 3, seen
 
     @pytest.mark.parametrize("m, k", [(8, 3), (12, 2), (15, 2), (30, 3), (7, 1)])
     def test_span_matches_breadth_first_closure(self, m, k):
-        # the span in ((Z/m)^x)^k / {+-1}^k of unit tuples, against a
-        # breadth-first closure of the tuples of sets {d, -d}
-        def coset(t):
-            return tuple(frozenset({x, -x % m}) for x in t)
-
+        # the lattice of discrete logs that spans the subgroup of
+        # ((Z/q)^x)^k generated by unit tuples, for each prime power q of m
+        # (2^3 among them), fed in two chunks: its order and its sign tuples
+        # against a breadth-first closure of the tuples
         rng = random.Random(m * k)
         unit = [u for u in range(m) if np.gcd(u, m) == 1]
         for _ in range(5):
             gens = [tuple(rng.choice(unit) for _ in range(k))
                     for _ in range(rng.randint(0, 4))]
-            arr = np.array(gens, dtype=np.int64).reshape(-1, k)
-            rows = kernel._span(arr, m).tolist()
-            group, frontier = {(1,) * k}, [(1,) * k]
-            while frontier:
-                frontier = [
-                    y for y in {tuple(a * b % m for a, b in zip(x, g))
-                                for x in frontier for g in gens}
-                    if y not in group
-                ]
-                group.update(frontier)
-            assert len(rows) == len(set(map(coset, rows)))
-            assert set(map(coset, rows)) == set(map(coset, group))
+            for p, e in prime_powers(m):
+                q = p**e
+                mod_q = [tuple(x % q for x in g) for g in gens]
+                arr = np.array(mod_q, dtype=np.int64).reshape(-1, k)
+                size, signs = kernel._lattice([arr[:1], arr[1:]], p, e, k)
+                group = unit_closure(mod_q, q, k)
+                assert size == len(group), (q, gens)
+                assert signs == set(filter({1 % q, q - 1}.issuperset, group)), (q, gens)
 
     def test_both_determinant_paths_agree(self, monkeypatch):
-        # a boolean map over the B^k codes, or per-chunk dedupe and a merge,
-        # over chunks of at most 4 rows, so that no chunk meets every coset;
-        # the map serves B^k <= 8*max(size, _CHUNK), and with _CHUNK = 0
-        # while counting, the least size that takes it is ceil(B^k / 8)
-        rng = random.Random(17)
-        merges = spy(monkeypatch, "_distinct_rows")
+        # every factor counted in full by the Laplace expansion on Python
+        # ints, and by the kernel's lift scan of int64 determinants over
+        # chunks of at most 4 rows, so that no chunk meets every coset, gives
+        # the same c; a |Q| above |S| takes no probe
+        rng, several = random.Random(17), 0
         for blocks, m in [((1, 1), 10), ((2,), 12), ((1, 1, 1), 6), ((1, 2), 4),
                           ((1, 1), 9), ((1, 1, 1, 1), 15)]:
-            monkeypatch.setattr(matrices, "_CHUNK", 4)
             spec = random_spec(rng, m, blocks, n_gens=2)
             shape = matrices._shape(m, blocks)
             rows = [orders._mats_to_row(t) for t in spec.generators]
             basis, additive = orders._closure(shape, rows, 10**6)
-            dets = [kernel._block_dets(shape, c)
-                    for c in kernel._elements(shape, basis, additive)]
-            assert len(dets) > 1
-            k, base = len(blocks), m // 2 + 2
-            least = -(-base**k // 8)
-            monkeypatch.setattr(matrices, "_CHUNK", 0)
+            factors = prime_powers(m)
+            several += any(p ** sum(a % p == 0 for a in additive) > 4 for p, _ in factors)
             counts = []
-            for size in (least, least - 1):
-                merges.clear()
-                counts.append(kernel._count(m, k, dets, size))
-                assert bool(merges) == (size < least)
+            for chunk in (1 << 15, 4):
+                monkeypatch.setattr(matrices, "_CHUNK", chunk)
+                with monkeypatch.context() as patch:
+                    calls = spy(patch, "_factor")
+                    counts.append(orders._prime_cosets(shape, basis, additive, factors,
+                                                       prod(additive) + 1))
+                    assert bool(calls) == (chunk == 4)
+                    assert not any(args[4] for args in calls)
             assert counts == [len(brute_cosets(spec))] * 2, spec
+        assert several >= 4  # specs with a factor of more than 4 lifts, in several chunks
 
 
 # the shapes of the matrix-orders and big-ambient benchmark workloads, whose
-# subrings all fit one chunk; counted by the numpy route, their cosets
-# would all mark the map: at most 302^2 codes, (1,1)@600, and 52^3,
-# (1,1,1)@100, against the 8*_CHUNK = 262,144 bytes of one int64 column
-# of a chunk
+# subrings all fit one chunk; counted by the kernel, the determinant rows of
+# each factor would all fit int64 as base-q codes: at most 25^2, (1,1)@600,
+# and 25^3, (1,1,1)@100
 BENCH_SHAPES = [
     *(((2,), m) for m in (5, 7, 8, 9, 10, 12, 13, 16, 20, 24)),
     *(((1, 2), m) for m in (5, 7, 8, 9)),
@@ -1305,20 +1333,19 @@ BENCH_SHAPES = [
 class TestCosetCount:
     def test_route_matches_brute_force_sweep(self, monkeypatch):
         # 1,000 seeded specs at composite m <= 60 and m = 1, 2, of at most
-        # 2,000 elements: the count prime by prime, at the default _CHUNK,
-        # against the numpy route, forced with _CHUNK below |S| (8, 64 or
-        # |S| - 1 rows), and both against the brute force; the numpy runs
-        # take both containers, the probe, scans without it and several
-        # chunks, and the prime runs every kind of level
+        # 2,000 elements: the count on Python ints, at the default _CHUNK,
+        # against the kernel's factors, forced with _CHUNK below |S| (8, 64
+        # or |S| - 1 rows), and both against the brute force; the kernel
+        # runs take the distinct rows at e = 1, the lattice at e > 1, the
+        # probe, settling or not, and several chunks, and the Python runs
+        # every kind of level
         rng = random.Random(1701)
         levels = [1, 2] + [m for m in range(4, 61)
                            if any(m % p == 0 for p in range(2, m))]
         shapes = [(1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 2), (1, 3),
                   (1, 1, 1), (1, 1, 1, 1)]
-        spans, merges = spy(monkeypatch, "_span"), spy(monkeypatch, "_distinct_rows")
-        counts, dets = spy(monkeypatch, "_count"), spy(monkeypatch, "_block_dets")
-        primes = spy(monkeypatch, "_prime_cosets")
-        seen = {"map": 0, "sorted": 0, "probe settles": 0, "probe fails": 0,
+        calls = spy(monkeypatch, "_factor")
+        seen = {"rows": 0, "lattice": 0, "probe settles": 0, "probe fails": 0,
                 "several chunks": 0, "prime, above one": 0, "prime square": 0,
                 "several primes": 0}
         checked = 0
@@ -1329,25 +1356,26 @@ class TestCosetCount:
             if size > 2_000:
                 continue
             monkeypatch.setattr(matrices, "_CHUNK", 1 << 15)
-            primes.clear()
+            calls.clear()
             got = genus_relative.__wrapped__(spec)
             assert got == brute_genus(spec), spec
-            if primes and got > 1:
+            assert not calls
+            if got > 1:
                 factors = prime_powers(spec.m)
                 seen["prime, above one"] += 1
                 seen["prime square"] += any(e > 1 for _, e in factors)
                 seen["several primes"] += len(factors) > 1
             chunk = min((8, 64, size - 1)[checked % 3], size - 1)
             monkeypatch.setattr(matrices, "_CHUNK", chunk)
-            for calls in (spans, merges, counts, dets, primes):
-                calls.clear()
+            calls.clear()
             assert genus_relative.__wrapped__(spec) == got, spec
-            assert not primes
-            seen["map"] += bool(counts) and not merges
-            seen["sorted"] += bool(merges)
-            seen["probe settles"] += bool(spans) and not counts
-            seen["probe fails"] += bool(spans) and bool(counts)
-            seen["several chunks"] += len(dets) - len(spans) > 1  # a probe takes one
+            probes = [args for args in calls if args[4]]
+            full = [args for args in calls if not args[4]]
+            seen["rows"] += any(args[3] == 1 for args in full)
+            seen["lattice"] += any(args[3] > 1 for args in full)
+            seen["probe settles"] += bool(probes) and not full
+            seen["probe fails"] += bool(probes) and bool(full)
+            seen["several chunks"] += any(args[2] ** len(args[1]) > chunk for args in full)
             checked += 1
         assert min(seen.values()) >= 20, seen
 
@@ -1358,51 +1386,55 @@ class TestCosetCount:
     def test_scalar_blocks_closed_form(self, monkeypatch, m, k, total):
         # the scalars of k 1x1 blocks: det(K) is the diagonal of
         # ((Z/m)^x)^k, which meets phi/sigma cosets, so the genus is
-        # (phi/sigma)^(k-1); at m = 100,003 the B^4 codes, B = m//2 + 2, are
-        # sorted, and at m = 120,011 they pass 2^63 and the digit rows
-        # themselves are merged
+        # (phi/sigma)^(k-1); at m = 100,003 and 120,011 the m lifts pass one
+        # chunk and are scanned by the kernel, and as their base-m codes would
+        # pass 2^63, D_q is taken as the lattice of their logs, with no rows
+        # merged
         merges = spy(monkeypatch, "_distinct_rows")
+        lattices = spy(monkeypatch, "_lattice")
         spec = OrderSpec(m=m, blocks=(1,) * k, generators=())
         assert genus(spec).total == total == (totient(m) // sign_count(m)) ** (k - 1)
-        wide = (m // 2 + 2) ** k >= 2**63
-        assert wide == (m == 120_011)
-        assert wide == any(a[0].ndim == 2 for a in merges)
-        assert bool(merges) == (m >= 100_003)
+        wide = m**k >= 2**63
+        assert wide == (m >= 100_003) == bool(lattices)
+        assert not merges
 
     @pytest.mark.parametrize("m", [1, 2, 4, 9, 12, 13])
     def test_non_unit_rows_are_never_counted(self, monkeypatch, m):
-        # seeded determinant rows, about half of them with a non-unit in
-        # some block, in chunks of 16; the map at size B^k, and the sorted
-        # codes at size 0 with _CHUNK = 0, against the cosets of the unit
-        # rows alone
+        # seeded subrings of k 1x1 blocks, many of whose lifts have a
+        # non-unit in some block, scanned by the kernel in chunks of 16, in
+        # full and, where the probe takes every lift, by the probe: each
+        # factor's order of D_q and its sign tuples, against the group that
+        # the unit lifts alone and the steps 1 + p^i b_j generate, which at
+        # e = 1 is the unit lifts themselves
         rng = random.Random(m)
-        unit = [d for d in range(m) if gcd(d, m) == 1]
-        monkeypatch.setattr(matrices, "_CHUNK", 0)
-        merges = spy(monkeypatch, "_distinct_rows")
+        monkeypatch.setattr(matrices, "_CHUNK", 16)
         for k in range(1, 5):
-            rows = []
-            for _ in range(64):
-                row = [rng.choice(unit) for _ in range(k)]
-                if rng.random() < 0.5:
-                    row[rng.randrange(k)] = rng.randrange(m)
-                rows.append(row)
-            want = len({tuple(frozenset({d, -d % m}) for d in row)
-                        for row in rows if all(gcd(d, m) == 1 for d in row)})
-            dets = [np.array(rows[lo : lo + 16], dtype=np.int64, order="F")
-                    for lo in range(0, 64, 16)]
-            for size in ((m // 2 + 2) ** k, 0):
-                merges.clear()
-                assert kernel._count(m, k, dets, size) == want, (k, size)
-                assert bool(merges) == (size == 0)
+            gens = [[rng.randrange(m) for _ in range(k)] for _ in range(2)]
+            shape = matrices._shape(m, (1,) * k)
+            basis, additive = orders._closure(shape, gens, 10**6)
+            for p, e in prime_powers(m):
+                q = p**e
+                rows = [[x % q for x in row] for row, a in zip(basis, additive) if a % p == 0]
+                lifts = {tuple(sum(c * x for c, x in zip(cs, col)) % q for col in zip(*rows))
+                         for cs in itertools.product(range(p), repeat=len(rows))}
+                units = {t for t in lifts if all(x % p for x in t)}
+                steps = {tuple((1 + p**i * x) % q for x in row)
+                         for i in range(1, e) for row in rows}
+                want = unit_closure(units | steps, q, k)
+                assert e > 1 or want == units
+                for probe in (False, True)[: 1 + (len(lifts) <= kernel._PROBE)]:
+                    size, signs = kernel._factor(shape, rows, p, e, probe)
+                    assert size == len(want), (k, q, probe)
+                    assert signs == set(filter({1 % q, q - 1}.issuperset, want)), (k, q)
 
     def test_count_of_a_group_is_its_span(self, monkeypatch):
-        # the unit determinants D = det(K) of seeded specs form a group, so
-        # the cosets D meets are the span of those cosets: _count and _span
-        # name each coset by the same code; every other spec counts on the
-        # sorted codes
+        # the unit determinants D_q = det(K_q) of seeded specs form a group,
+        # so at e = 1 the distinct unit rows of the kernel's lift scan and
+        # the lattice of discrete logs they span have the same order and
+        # sign tuples, and c from them is the brute force's count; every
+        # other spec scans in one-row chunks, with _CHUNK = 0
         rng = random.Random(4242)
         shapes = [(1,), (2,), (1, 1), (1, 2), (1, 1, 1)]
-        merges = spy(monkeypatch, "_distinct_rows")
         chunk, checked = matrices._CHUNK, 0
         while checked < 200:
             m = rng.randint(1, 40)
@@ -1412,37 +1444,43 @@ class TestCosetCount:
             basis, additive = orders._closure(shape, rows, 10**30)
             if prod(additive) > 400:
                 continue
-            dets = np.concatenate([kernel._block_dets(shape, c) for c in
-                                   kernel._elements(shape, basis, additive)])
-            units = np.asfortranarray(dets[np.gcd(dets, m).max(axis=1) == 1])
-            sort = checked % 2 == 1
-            merges.clear()
-            monkeypatch.setattr(matrices, "_CHUNK", 0 if sort else chunk)
-            count = kernel._count(m, k, [units], 0 if sort else len(units))
-            assert bool(merges) == sort
-            monkeypatch.setattr(matrices, "_CHUNK", chunk)
-            assert count == len(kernel._span(units, m)) == len(brute_cosets(spec)), spec
+            monkeypatch.setattr(matrices, "_CHUNK", 0 if checked % 2 else chunk)
+            met, signs = 1, None
+            for p, e in prime_powers(m):
+                q = p**e
+                lifts = [[x % q for x in row] for row, a in zip(basis, additive) if a % p == 0]
+                size, found = kernel._factor(shape, lifts, p, e, False)
+                if e == 1:
+                    dets = np.concatenate([kernel._block_dets(matrices._shape(q, spec.blocks), c)
+                                           for c in kernel._elements(shape, basis, additive)]) % q
+                    units = dets[np.gcd(dets, q).max(axis=1) == 1]
+                    assert (size, found) == kernel._lattice([units], p, e, k), spec
+                met *= size
+                if q > 2:
+                    both = {tuple(x == 1 for x in t) for t in found}
+                    signs = both if signs is None else signs & both
+            c = met // (1 if signs is None else len(signs))
+            assert c == len(brute_cosets(spec)), spec
             checked += 1
 
     @pytest.mark.parametrize("blocks, m", BENCH_SHAPES,
                              ids=[f"{b}@{m}" for b, m in BENCH_SHAPES])
     def test_bench_shapes_take_their_container(self, monkeypatch, blocks, m):
         # the scalars of each benchmark shape make one chunk, counted prime
-        # by prime without the numpy scan; scanned by the numpy route, in
-        # one chunk, their determinants mark the map and sort nothing
+        # by prime on Python ints with nothing of the kernel; counted by the
+        # kernel, with _CHUNK = 0, by its probes and lift scans, they agree,
+        # and the determinant rows that a scan at e = 1 merges are base-q
+        # codes, never rows
         spec = OrderSpec(m=m, blocks=blocks, generators=())
         want = brute_genus(spec)
         with monkeypatch.context() as patch:
-            forbid(patch, "_count", "_elements", "_block_dets")
+            forbid(patch, "_factor", "_elements", "_block_dets")
             assert genus(spec).total == want
+        genus_relative.cache_clear()
         merges = spy(monkeypatch, "_distinct_rows")
-        shape = matrices._shape(m, blocks)
-        basis, additive = orders._closure(shape, [], 10**6)
-        dets = [kernel._block_dets(shape, c)
-                for c in kernel._elements(shape, basis, additive)]
-        assert len(dets) == 1
-        count = kernel._count(m, len(blocks), dets, prod(additive))
-        assert count == len(brute_cosets(spec)) and not merges
+        monkeypatch.setattr(matrices, "_CHUNK", 0)
+        assert genus(spec).total == want
+        assert all(a[0].ndim == 1 for a in merges)
 
 
 class TestPrimeRoute:
@@ -1454,22 +1492,23 @@ class TestPrimeRoute:
         # det(K) is the diagonal of ((Z/m)^x)^2, which meets only the sign
         # pairs (1, 1) and (-1, -1) of {+-1}^2 as a whole, though mod each
         # prime of m it meets as many; each spec is counted prime by prime
-        # at _CHUNK = |S| and by the numpy route one below
-        primes = spy(monkeypatch, "_prime_cosets")
+        # on Python ints at _CHUNK = |S|, and by the kernel's factors at
+        # _CHUNK = 0
+        calls = spy(monkeypatch, "_factor")
         size = subring_size(spec)
-        for chunk in (size, size - 1):
+        for chunk in (size, 0):
             monkeypatch.setattr(matrices, "_CHUNK", chunk)
             genus_relative.cache_clear()
-            primes.clear()
+            calls.clear()
             assert genus(spec).total == total
-            assert bool(primes) == (chunk == size)
+            assert bool(calls) == (chunk == 0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
     def test_levels_with_one_unit_coset_have_genus_one(self, monkeypatch, m):
         # phi(m) = sigma(m): Q is trivial, and the count is 1 with neither
         # route, once the closure and the determinant terms are within the
         # cap; no determinant is planned, not even of a 16x16 block
-        forbid(monkeypatch, "_prime_cosets", "_probe", "_elements")
+        forbid(monkeypatch, "_prime_cosets", "_factor", "_elements")
         forbid(monkeypatch, "_laplace_plan", module=matrices)
         rng = random.Random(m)
         for blocks in [(16,), (1, 1), (2,), (1, 2), (3,)]:
@@ -1542,6 +1581,58 @@ assert "numpy" in sys.modules and "genuskit.kernel" in sys.modules
         assert found == [("kernel.py", True)]
 
 
+class TestAboveOneChunk:
+    def test_sweep_above_one_chunk(self, monkeypatch):
+        # seeded specs of more than one chunk of elements, at the default
+        # _CHUNK, against three oracles: the generic double-coset engine on
+        # subring_units where |U| <= 10^4, genus_pullback_formula for the
+        # pullbacks and their Mat_2, and (phi/sigma)^(k-1) for the scalars of
+        # k 1x1 blocks.  The levels hold 2^15, 2^16, 3^10, 5^7 and several
+        # odd primes at once; a 2x2 scalar block at a prime p has genus 1
+        # when p = 3 mod 4, as -1 is then no square, and its probe, which
+        # meets D = the squares, settles it.  Z/2^8[x] with x^2 = -2 has the
+        # unit norms a^2 + 2b^2, the units 1 or 3 mod 8, which make <3>: it
+        # lacks -1 but meets every coset of {+-1}, so the genus is 1, which a
+        # log map that took (Z/2^e)^x to be cyclic would miss
+        rng = random.Random(2026)
+        calls = spy(monkeypatch, "_factor")
+        levels = [65536, 59049, 78125, 117649, 65535, 98304, 118098, 40009,
+                  65537, 1_000_003, *rng.sample(range(32769, 200_000), 4)]
+        cases = [(pullback_spec(m), genus_pullback_formula(m)) for m in levels]
+        cases += [(matrix_pullback_spec(m, 2), genus_pullback_formula(m))
+                  for m in [16, 32, *rng.sample(range(14, 38), 4)]]
+        cases += [(OrderSpec(m=m, blocks=(1,) * k, generators=()),
+                   (totient(m) // sign_count(m)) ** (k - 1))
+                  for m in (65536, 59049, 78125, 40009) for k in [rng.randint(2, 4)]]
+        cases += [(OrderSpec(m=p, blocks=(2,), generators=()), 1 if p % 4 == 3 else 2)
+                  for p in (32771, 32779, 32789, 40009)]
+        cases += [(units_spec(7, (4,), [(0, i, i) for i in range(4)] + [(0, 0, 1), (0, 1, 2)]), 1),
+                  (OrderSpec(m=256, blocks=(2,), generators=((MatModM(256, 2, (0, -2, 1, 0)),),)),
+                   1)]
+        for spec, _ in cases[-6:]:
+            assert subring_size(spec) > matrices._CHUNK
+        engine = [spec_1x1(420, [(0, 5)]), spec_3x1(60, [(0, 5, 0), (0, 0, 1)])]
+        cases += [(spec, engine_genus(spec)) for spec in engine]
+        seen = {"rows": 0, "lattice": 0, "2^e lattice": 0, "probe settles": 0,
+                "probe fails": 0, "python factor": 0}
+        for spec, want in cases:
+            size = subring_size(spec)
+            assert size > matrices._CHUNK, spec.m
+            calls.clear()
+            assert genus_relative.__wrapped__(spec) == want, (spec.m, spec.blocks)
+            probes = [args for args in calls if args[4]]
+            full = [args for args in calls if not args[4]]
+            seen["rows"] += any(args[3] == 1 for args in full)
+            seen["lattice"] += any(args[3] > 1 for args in full)
+            seen["2^e lattice"] += any(args[2] == 2 and args[3] > 2 for args in full)
+            seen["probe settles"] += bool(probes) and not full
+            seen["probe fails"] += bool(probes) and bool(full)
+            seen["python factor"] += len(full) < len(prime_powers(spec.m))
+            if want == 1 and spec.blocks in {(2,), (4,)}:
+                assert probes and not full, spec.m  # settled by the probes joined
+        assert min(seen.values()) >= 2, seen
+
+
 class TestResourceLimitFields:
     def test_level_above_cap(self):
         with pytest.raises(ResourceLimitError,
@@ -1568,7 +1659,7 @@ class TestResourceLimitFields:
         # upper triangular 2x2 at m = 2^31 - 1: products of two entries
         # stay in range, but a sum over the 3 basis rows does not, and the
         # refusal comes before any enumeration
-        forbid(monkeypatch, "_elements", "_probe")
+        forbid(monkeypatch, "_elements", "_factor")
         m = 2**31 - 1
         spec = units_spec(m, (2,), [(0, 0, 0), (0, 0, 1)])
         for call in (genus, subring_closure):
@@ -1581,8 +1672,8 @@ class TestResourceLimitFields:
     def test_subring_past_int64_index(self, monkeypatch):
         # the strictly upper triangular units e_{i,i+1} of Mat_10(Z/3)
         # generate a subring of 3^46 elements, past int64 indices: it is
-        # refused whatever the cap, before any probe or chunk
-        forbid(monkeypatch, "_elements", "_probe")
+        # refused whatever the cap, before any probe or lift scan
+        forbid(monkeypatch, "_elements", "_factor")
         spec = units_spec(3, (10,), [(0, i, i + 1) for i in range(9)])
         for call in (genus, subring_closure):
             with pytest.raises(ResourceLimitError, match=f"^the subring has {3**46} "
@@ -1595,7 +1686,7 @@ class TestResourceLimitFields:
     def test_whole_ring_past_int64_index_has_genus_one(self, monkeypatch):
         # Mat_10(Z/3) has 3^100 elements, but the whole ring returns
         # before the index range matters
-        forbid(monkeypatch, "_elements", "_probe")
+        forbid(monkeypatch, "_elements", "_factor")
         cells = [(0, i, i + 1) for i in range(9)] + [(0, i + 1, i) for i in range(9)]
         assert genus(units_spec(3, (10,), cells), cap=10**60).total == 1
 
@@ -1623,7 +1714,7 @@ class TestResourceLimitFields:
 
     def test_huge_block_fails_fast(self, monkeypatch):
         # the refusal comes before any determinant is planned or taken
-        forbid(monkeypatch, "_count")
+        forbid(monkeypatch, "_factor")
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError) as info:
             genus(OrderSpec(m=3, blocks=(40,), generators=()))
