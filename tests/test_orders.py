@@ -1237,7 +1237,7 @@ class TestShortcuts:
         # run on subrings small enough for the brute force, and subrings of
         # at most 64 elements are counted on Python ints alone
         monkeypatch.setattr(matrices, "_CHUNK", 64)
-        factors = spy(monkeypatch, "_factor")
+        factors, primes = spy(monkeypatch, "_factor"), spy(monkeypatch, "_prime_cosets")
         rng = random.Random(2024)
         shapes = [((2,), (8, 9, 10, 12)), ((1, 2), (5, 6, 7)),
                   ((1, 1, 1), (12, 24, 30)), ((2, 2), (3, 4, 5, 6, 7, 8)),
@@ -1259,10 +1259,11 @@ class TestShortcuts:
             if size > 2_000:
                 continue
             factors.clear()
+            primes.clear()
             got = genus_relative.__wrapped__(spec)
             assert got == brute_genus(spec), spec
             probed = any(args[4] for args in factors)
-            seen["prime by prime"] += size > 1 and not factors
+            seen["prime by prime"] += bool(primes) and not factors
             seen["whole"] += size == m ** sum(r * r for r in blocks)
             seen["several chunks"] += any(not args[4] and args[2] ** len(args[1]) > 64
                                           for args in factors)
