@@ -1,7 +1,10 @@
 """Genus counts of orders in products of integer matrix rings, computed as
 a quotient of blockwise determinant groups of the subring units, with a
 generic double-coset engine, a catalog of stable polyhedral atoms on top
-and a CLI front end."""
+and a CLI front end.
+
+The engine, genuskit.cosets, is imported on the first use of one of its
+five names here: no genus query runs it, only the oracle checks do."""
 
 from .atoms import (
     Atom,
@@ -26,13 +29,6 @@ from .atoms import (
     sphere,
     torsion_split,
 )
-from .cosets import (
-    FiniteGroup,
-    direct_product,
-    double_coset_count,
-    double_coset_partition,
-    subgroup_closure,
-)
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .matrices import (
     DEFAULT_CAP,
@@ -45,21 +41,17 @@ from .matrices import (
     stable_image,
     stable_image_order,
 )
-from .orders import (
+from .orders import genus, genus_relative, load_order_spec, subring_closure, subring_units
+from .rings import Residue, ext_gcd, gcd, totient, unit_group, units
+from .specs import (
     GenusResult,
     OrderSpec,
-    genus,
     genus_pullback_formula,
-    genus_relative,
-    load_order_spec,
     matrix_pullback_spec,
     order_spec_from_dict,
     order_spec_to_dict,
     pullback_spec,
-    subring_closure,
-    subring_units,
 )
-from .rings import Residue, ext_gcd, gcd, totient, unit_group, units
 
 __version__ = "0.1.0"
 
@@ -120,3 +112,13 @@ __all__ = [
     "unit_group",
     "units",
 ]
+
+_COSETS = ("FiniteGroup", "direct_product", "double_coset_count",
+           "double_coset_partition", "subgroup_closure")
+
+
+def __getattr__(name):
+    if name in _COSETS:
+        from . import cosets
+        return getattr(cosets, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,8 +16,9 @@ from functools import lru_cache
 
 from .errors import Frozen
 from .matrices import DEFAULT_CAP
-from .orders import genus, pullback_spec
+from .orders import genus
 from .rings import gcd
+from .specs import pullback_spec
 
 
 class AtomKind(Enum):

@@ -21,19 +21,16 @@ import sys
 import time
 from types import SimpleNamespace
 
-# eager on purpose: imported inside `check`, catalog's checks compile it in their timed pass
+# eager on purpose: imported inside `check`, it would be compiled within the
+# first check's call; it holds only the atom-catalog criteria and imports the
+# oracle criteria, genuskit.oracle_checks, on the first run of one of them
 from . import acceptance
 from .atoms import atom_a, endo_order, genus_of_atom, parse_atom
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .matrices import DEFAULT_CAP, gl_order, stable_image_order
-from .orders import (
-    genus,
-    genus_pullback_formula,
-    genus_relative,
-    load_order_spec,
-    pullback_spec,
-)
+from .orders import genus, genus_relative, load_order_spec
 from .rings import gcd, totient
+from .specs import genus_pullback_formula, pullback_spec
 
 CAP_ENV_VAR = "GENUSKIT_CAP"
 

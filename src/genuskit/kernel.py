@@ -32,10 +32,9 @@ from .rings import is_sign, prime_powers
 # Past the one-chunk limits of matrices._CHUNK, the rows are numpy int64
 # rows, handled _CHUNK at a time, so that temporaries stay small whatever
 # the size of the group; _CHUNK is read from matrices at each call.
-# Duplicates are dropped by _distinct_rows, not np.unique: np.unique(axis=0)
-# is several times slower on int64 rows, and under numpy 2 the first
-# np.unique call in a process imports numpy.ma, which takes longer than a
-# small genus.
+# Duplicate rows are dropped by _distinct_rows on their integer codes, not
+# by np.unique: under numpy 2 the first np.unique call in a process imports
+# numpy.ma, which takes longer than a small genus.
 
 
 def _units(m: int) -> np.ndarray:
@@ -61,29 +60,27 @@ def _mul_rows(shape: _Shape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_dets(shape: _Shape, rows: np.ndarray) -> np.ndarray:
+def _block_dets(shape: _Shape, rows: np.ndarray, plans: dict | None = None) -> np.ndarray:
     """Blockwise determinants mod m of reduced rows, one column per block,
     by _laplace over each block's entry columns; exact in int64 within the
-    range r*(m-1)^2 < 2^63 that _mul_rows and the subring closure admit."""
+    range r*(m-1)^2 < 2^63 that _mul_rows and the subring closure admit.
+    ``plans`` maps each block size to its _laplace_plan, built here if not
+    given."""
+    plans = plans or matrices._laplace_plans(shape.blocks)
     # column-major, so that each block's column is contiguous
     out = np.empty((len(rows), len(shape.blocks)), dtype=np.int64, order="F")
     for col, (r, off) in enumerate(zip(shape.blocks, shape.offsets)):
-        out[:, col] = _laplace([rows[:, off + t] for t in range(r * r)], r, shape.m)
+        out[:, col] = _laplace([rows[:, off + t] for t in range(r * r)], r, shape.m, plans[r])
     return out
 
 
 def _distinct_rows(a: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D array, or the distinct entries of a 1-D
-    one, in ascending lexicographic order: a sort, then each row kept when
-    it differs from its predecessor."""
-    if a.ndim == 1:
-        s = np.sort(a)
-        differs = s[1:] != s[:-1]
-    else:
-        s = a[np.lexsort(a.T[::-1])]  # the first column sorts first
-        differs = (s[1:] != s[:-1]).any(axis=1)
+    """The distinct entries of a 1-D array, such as the codes of rows, in
+    ascending order: a sort, then each entry kept when it differs from its
+    predecessor."""
+    s = np.sort(a)
     keep = np.ones(len(s), dtype=bool)
-    keep[1:] = differs  # empty input keeps nothing
+    keep[1:] = s[1:] != s[:-1]  # empty input keeps nothing
     return s[keep]
 
 
@@ -310,12 +307,14 @@ def _lattice(chunks, p: int, e: int, k: int) -> tuple[int, set]:
 
 
 def _factor(shape: _Shape, rows: list[list[int]], p: int, e: int,
-            probe: bool) -> tuple[int, set]:
+            probe: bool, plans: dict | None = None) -> tuple[int, set]:
     """|G|, and the sign tuples in G, for G = D_q, q = p^e, from the lifts
     sum c_j * rows[j], 0 <= c_j < p, of S_q/pS_q and the steps
     det(1 + p^i rows[j]); with ``probe``, G is the subgroup of D_q that the
     steps and the lifts at the indices i*t mod p^n, i < _PROBE, generate,
-    for t the integer nearest p^n/phi, phi the golden ratio, made prime to p."""
+    for t the integer nearest p^n/phi, phi the golden ratio, made prime to p.
+    ``plans`` are the blocks' _laplace_plans, built once here if not given."""
+    plans = plans or matrices._laplace_plans(shape.blocks)
     q, n, k = p**e, len(rows), len(shape.blocks)
     shape = _shape(q, shape.blocks)
     basis = np.array(rows, dtype=np.int64).reshape(n, shape.width)
@@ -333,7 +332,7 @@ def _factor(shape: _Shape, rows: list[list[int]], p: int, e: int,
         chunks = chain(chunks, [steps.reshape(-1, shape.width)])
     unit = _units(q)
     dets = ((d, np.logical_and.reduce([unit[d[:, j]] for j in range(k)]))
-            for d in (_block_dets(shape, lifts) for lifts in chunks))
+            for d in (_block_dets(shape, lifts, plans) for lifts in chunks))
     if probe or e > 1 or q**k >= 2**63:  # or where base-q codes would leave int64
         return _lattice((d[units] for d, units in dets), p, e, k)
     place = q ** np.arange(k - 1, -1, -1, dtype=np.int64)

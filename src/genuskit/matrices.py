@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import prod
 
-from .cosets import FiniteGroup
+# FiniteGroup is named in annotations only: genuskit.cosets loads on first use
 from .errors import Frozen, ResourceLimitError
 from .rings import Residue, prime_powers, sign_count, totient
 
@@ -120,7 +120,16 @@ def _matmul(x, y, r: int) -> list[int]:
             for i in range(r) for j in range(r)]
 
 
-@lru_cache(maxsize=None)
+# A plan holds the r*2^(r-1) terms of an r x r determinant: 24 KB at r = 8,
+# 63 KB at r = 9 and 91 MB at r = 17, which the default cap admits.  Plans
+# of at most _KEPT_PLAN rows are kept for the life of the process, and a
+# larger one is built afresh on each call of _laplace_plan; so a caller that
+# takes the determinants of a large block a chunk at a time, as a genus
+# query does, builds the plan once and passes it on, and drops it after.
+_KEPT_PLAN = 8
+_kept_plans: dict[int, tuple] = {}
+
+
 def _laplace_plan(r: int) -> tuple:
     """The Laplace expansion of an r x r determinant over column sets,
     from the bottom row up.  Level k holds, for each set of k columns in
@@ -129,6 +138,8 @@ def _laplace_plan(r: int) -> tuple:
     in the top one of those rows, the index of the minor on the columns
     left at level k - 1, and the cofactor sign.  Level 1 is the bottom row
     itself, and level r has the one set whose minor is the determinant."""
+    if r in _kept_plans:
+        return _kept_plans[r]
     index = {(j,): j for j in range(r)}
     levels = []
     for k in range(2, r + 1):
@@ -139,10 +150,18 @@ def _laplace_plan(r: int) -> tuple:
                   for p, c in enumerate(cols))
             for cols in sets))
         index = {cols: i for i, cols in enumerate(sets)}
-    return tuple(levels)
+    plan = tuple(levels)
+    if r <= _KEPT_PLAN:
+        _kept_plans[r] = plan
+    return plan
 
 
-def _laplace(x, r: int, m: int):
+def _laplace_plans(blocks) -> dict[int, tuple]:
+    """The _laplace_plan of each block size, for the queries that pass one."""
+    return {r: _laplace_plan(r) for r in blocks}
+
+
+def _laplace(x, r: int, m: int, plan: tuple | None = None):
     """Determinant mod m of the r x r matrix whose row-major entries, each
     reduced into 0..m-1, are ``x``: Python ints, or int64 columns that
     hold one matrix per row.  It takes no division, so it is exact over
@@ -150,9 +169,10 @@ def _laplace(x, r: int, m: int):
     minor is reduced before it is used, and the terms of a minor alternate
     in sign, so a partial sum stays within ceil(r/2)*(m-1)^2 of zero: exact
     in int64 over the range r*(m-1)^2 < 2^63 that _mul_rows and the
-    subring closure admit."""
+    subring closure admit.  ``plan`` is _laplace_plan(r), built here if
+    not given."""
     minors = x[(r - 1) * r:]
-    for level in _laplace_plan(r):
+    for level in _laplace_plan(r) if plan is None else plan:
         reduced = []
         for (e, i, _), *rest in level:  # the first term's sign is +1
             acc = x[e] * minors[i]
@@ -167,14 +187,14 @@ def _laplace(x, r: int, m: int):
     return minors[0]
 
 
-def _laplace_lists(x: list[list[int]], r: int, m: int) -> list[int]:
+def _laplace_lists(x: list[list[int]], r: int, m: int, plan: tuple) -> list[int]:
     """_laplace on Python lists: ``x`` holds one list per entry of the r x r
     matrices, row-major, and the result one determinant mod m per matrix.
     Python ints are exact at any size, so the entries need not be reduced."""
     if r == 1:
         return [d % m for d in x[0]]
     minors = x[(r - 1) * r:]
-    for level in _laplace_plan(r):
+    for level in plan:
         reduced = []
         for (e, i, _), *rest in level:  # the first term's sign is +1
             acc = [a * b for a, b in zip(x[e], minors[i])]

@@ -1,12 +1,13 @@
 """Genus counts for orders inside products of integer matrix rings.
 
 An order L with m*G <= L <= G = prod_i Mat(r_i, Z) is described by its
-finite image at the conductor level m: the subring of prod_i Mat(r_i, Z/m)
-generated by the identity tuple together with explicit generator tuples.
-Its genus is g(G) * (number of double cosets  H \\ U / K)  where U is the
-unit group of the quotient ring, H the image of the global units (generated
-blockwise by elementary matrices) and K the unit group of the subring; for
-products of matrix rings g(G) = 1, so the double-coset count is the genus.
+finite image at the conductor level m, an OrderSpec of
+:mod:`genuskit.specs`: the subring of prod_i Mat(r_i, Z/m) generated by
+the identity tuple together with explicit generator tuples.  Its genus is
+g(G) * (number of double cosets  H \\ U / K)  where U is the unit group of
+the quotient ring, H the image of the global units (generated blockwise by
+elementary matrices) and K the unit group of the subring; for products of
+matrix rings g(G) = 1, so the double-coset count is the genus.
 
 The count is taken through determinants.  SL_r of the semilocal ring Z/m
 is generated by elementary matrices for r >= 2 (Bass, K-theory and stable
@@ -43,186 +44,15 @@ from itertools import chain, product
 from math import prod
 from pathlib import Path
 
+# FiniteGroup is named in annotations only: genuskit.cosets loads on first use
 from . import matrices
-from .cosets import FiniteGroup
-from .errors import Frozen, InternalInconsistencyError, ResourceLimitError
-from .matrices import (DEFAULT_CAP, MatModM, _laplace, _laplace_lists, _matmul, _Shape,
-                       _shape)
+from .errors import InternalInconsistencyError, ResourceLimitError
+from .matrices import DEFAULT_CAP, _laplace, _laplace_lists, _matmul, _Shape, _shape
 from .rings import ext_gcd, prime_powers, sign_count, totient
-
-
-class OrderSpec(Frozen):
-    """An order given by conductor level, block sizes and subring generators.
-
-    ``generators`` holds tuples of matrices, one entry per block; the
-    subring they generate together with the identity tuple is the image of
-    the order in the quotient of the maximal order at level m.
-    """
-
-    __slots__ = ("m", "blocks", "generators")
-    m: int
-    blocks: tuple[int, ...]
-    generators: tuple[tuple[MatModM, ...], ...]
-
-    def __init__(self, m: int, blocks, generators):
-        if m < 1:
-            raise ValueError(f"conductor level must be >= 1, got {m}")
-        blocks = tuple(int(r) for r in blocks)
-        if not blocks:
-            raise ValueError("an order needs at least one matrix block")
-        if any(r < 1 for r in blocks):
-            raise ValueError(f"block sizes must be >= 1, got {blocks}")
-        gens = tuple(tuple(t) for t in generators)
-        for idx, tup in enumerate(gens):
-            if len(tup) != len(blocks):
-                raise ValueError(
-                    f"generator {idx} has {len(tup)} components, "
-                    f"expected {len(blocks)}"
-                )
-            for mat, r in zip(tup, blocks):
-                if not isinstance(mat, MatModM):
-                    raise ValueError(f"generator {idx} contains {mat!r}")
-                if mat.modulus != m or mat.size != r:
-                    raise ValueError(
-                        f"generator {idx} has a {mat.size}x{mat.size} matrix "
-                        f"mod {mat.modulus}; expected {r}x{r} mod {m}"
-                    )
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "generators", gens)
-
-    # spelled out for speed, as in MatModM: the memo of genus_relative
-    # hashes and compares every spec it is asked
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.m, self.blocks, self.generators)
-                == (other.m, other.blocks, other.generators))
-
-    def __hash__(self):
-        return hash((self.m, self.blocks, self.generators))
-
-    def identity_tuple(self) -> tuple[MatModM, ...]:
-        return tuple(MatModM.identity(r, self.m) for r in self.blocks)
-
-
-class GenusResult(Frozen):
-    """Genus of an order, split into the factors that build it."""
-
-    __slots__ = ("relative_count", "maximal_count", "total", "bound")
-    relative_count: int
-    maximal_count: int
-    total: int
-    bound: int
-
-    def __init__(self, relative_count: int, maximal_count: int, total: int, bound: int):
-        object.__setattr__(self, "relative_count", relative_count)
-        object.__setattr__(self, "maximal_count", maximal_count)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "bound", bound)
-
-
-def genus_pullback_formula(m: int) -> int:
-    """Closed form for the genus of the congruence pullback of Z x Z at m."""
-    if m < 1:
-        raise ValueError(f"level must be >= 1, got {m}")
-    return totient(m) // sign_count(m)  # totient(m) is even for m > 2
-
-
-def pullback_spec(m: int) -> OrderSpec:
-    """The order of integer pairs congruent mod m, at level m.
-
-    Blocks (1, 1) and the single generator (1, 1); its quotient image is
-    the diagonal copy of Z/m inside Z/m x Z/m.
-    """
-    if m < 1:
-        raise ValueError(f"level must be >= 1, got {m}")
-    one = MatModM(m, 1, (1,))
-    return OrderSpec(m=m, blocks=(1, 1), generators=((one, one),))
-
-
-def matrix_pullback_spec(m: int, n: int) -> OrderSpec:
-    """Mat_n of the level-m pullback of Z x Z, the endomorphism order of an
-    n-fold wedge of one atom with that pullback as its order.
-
-    Blocks (n, n); the subring is the diagonal copy of Mat_n(Z/m), with
-    m^(n^2) elements, generated by the pairs (E, E) for the matrix units
-    E = e_{i,i+1} and e_{i+1,i}.  Its genus is genus_pullback_formula(m)
-    for every n: det(K) is the diagonal of ((Z/m)^x)^2.
-    """
-    if m < 1:
-        raise ValueError(f"level must be >= 1, got {m}")
-    if n < 1:
-        raise ValueError(f"matrix size must be >= 1, got {n}")
-
-    def unit(i: int, j: int) -> MatModM:
-        return MatModM(m, n, tuple(int((p, q) == (i, j))
-                                   for p in range(n) for q in range(n)))
-
-    units = [unit(i, i + 1) for i in range(n - 1)]
-    units += [unit(i + 1, i) for i in range(n - 1)]
-    return OrderSpec(m=m, blocks=(n, n), generators=tuple((e, e) for e in units))
-
-
-# ---------------------------------------------------------------------------
-# JSON order-spec format:
-#   {"m": <int>, "blocks": [r1, ...], "generators": [[mat1, mat2, ...], ...]}
-# where each mat is a row-major flat integer array of length r_i^2; entries
-# may be arbitrary integers and are reduced mod m on load.
-# ---------------------------------------------------------------------------
-
-
-def order_spec_to_dict(spec: OrderSpec) -> dict:
-    return {
-        "m": spec.m,
-        "blocks": list(spec.blocks),
-        "generators": [
-            [list(mat.entries) for mat in tup] for tup in spec.generators
-        ],
-    }
-
-
-def order_spec_from_dict(data) -> OrderSpec:
-    if not isinstance(data, dict):
-        raise ValueError("order spec must be a JSON object")
-    for key in ("m", "blocks", "generators"):
-        if key not in data:
-            raise ValueError(f"order spec is missing the {key!r} field")
-    m = data["m"]
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError(f"field 'm' must be an integer, got {m!r}")
-    blocks = data["blocks"]
-    if not isinstance(blocks, list) or not all(
-        isinstance(r, int) and not isinstance(r, bool) for r in blocks
-    ):
-        raise ValueError("field 'blocks' must be an array of integers")
-    raw_gens = data["generators"]
-    if not isinstance(raw_gens, list):
-        raise ValueError("field 'generators' must be an array of tuples")
-    generators = []
-    for gi, tup in enumerate(raw_gens):
-        if not isinstance(tup, list) or len(tup) != len(blocks):
-            raise ValueError(
-                f"generator {gi} must be an array of {len(blocks)} matrices"
-            )
-        mats = []
-        for bi, (mat, r) in enumerate(zip(tup, blocks)):
-            if not isinstance(mat, list) or not all(
-                isinstance(e, int) and not isinstance(e, bool) for e in mat
-            ):
-                raise ValueError(
-                    f"generator {gi}, block {bi}: expected a flat integer array"
-                )
-            if r < 1 or m < 1:
-                raise ValueError("blocks and m must be positive")
-            if len(mat) != r * r:
-                raise ValueError(
-                    f"generator {gi}, block {bi}: expected {r * r} entries "
-                    f"for a {r}x{r} matrix, got {len(mat)}"
-                )
-            mats.append(MatModM(m, r, tuple(mat)))
-        generators.append(tuple(mats))
-    return OrderSpec(m=m, blocks=tuple(blocks), generators=tuple(generators))
+# the values and the JSON format moved to genuskit.specs; bound here too, so
+# that the names they had in this module keep working
+from .specs import (GenusResult, OrderSpec, genus_pullback_formula, matrix_pullback_spec,
+                    order_spec_from_dict, order_spec_to_dict, pullback_spec)
 
 
 def load_order_spec(path) -> OrderSpec:
@@ -441,6 +271,7 @@ def _prime_cosets(shape: _Shape, basis: list[list[int]], additive: list[int],
     every q > 2; mod 2 every sign is 1, which lies in D_2."""
     blocks, k = list(zip(shape.blocks, shape.offsets)), len(shape.blocks)
     identity = [int(i == j) for r in shape.blocks for i in range(r) for j in range(r)]
+    plans = matrices._laplace_plans(shape.blocks)  # once per query, for every factor
     size = prod(additive)
     for probe in (True, False) if size > matrices._CHUNK and size >= full else (False,):
         met, signs = 1, None
@@ -449,20 +280,21 @@ def _prime_cosets(shape: _Shape, basis: list[list[int]], additive: list[int],
             rows = [[x % q for x in row] for row, a in zip(basis, additive) if a % p == 0]
             if probe or p ** len(rows) > matrices._CHUNK or (e > 1 and size > matrices._CHUNK):
                 from . import kernel
-                count, found = kernel._factor(shape, rows, p, e, probe)
+                count, found = kernel._factor(shape, rows, p, e, probe, plans)
             else:
                 # the lifts as one list per entry, each row adding its p multiples
                 cols = [[0] for _ in identity]
                 for row in rows:
                     cols = [[x + c * b for c in range(p) for x in col] if b else col * p
                             for col, b in zip(cols, row)]
-                lifts = zip(*(_laplace_lists(cols[off : off + r * r], r, q) for r, off in blocks))
+                lifts = zip(*(_laplace_lists(cols[off : off + r * r], r, q, plans[r])
+                              for r, off in blocks))
                 found = set(filter(set(range(0, q, p)).isdisjoint, set(lifts)))
                 if e > 1:  # else pS_q = 0, the lifts are S_q and found is D_q
                     near = ([(u + p**i * b) % q for u, b in zip(identity, row)]
                             for i in range(1, e) for row in rows)
-                    steps = (tuple(_laplace(v[off : off + r * r], r, q) for r, off in blocks)
-                             for v in near)
+                    steps = (tuple(_laplace(v[off : off + r * r], r, q, plans[r])
+                                   for r, off in blocks) for v in near)
                     found = _subgroup(chain(found, steps), k, q)
                 count = len(found)
             met *= count

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-from .cosets import FiniteGroup
 from .errors import Frozen, ResourceLimitError
 
 
@@ -149,6 +148,8 @@ def units(m: int) -> set[Residue]:
 
 def unit_group(m: int) -> FiniteGroup:
     """The unit group of Z/m as a FiniteGroup over plain int residues."""
+    from .cosets import FiniteGroup  # the generic engine loads on first use
+
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     carrier = frozenset(k for k in range(m) if math.gcd(k, m) == 1)

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import time
+import tokenize
 
 import pytest
 
@@ -399,6 +400,55 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, env=subprocess_env)
         assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+    def test_start_path_loads_no_oracle(self, subprocess_env):
+        # the generic engine, the oracle criteria and the row kernel load on
+        # first use: a fresh process that imports the CLI and runs a catalog
+        # check compiles none of them, and every public name still resolves
+        code = """
+import contextlib, io, sys
+import genuskit, genuskit.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert genuskit.cli.main(["check", "--only", "atom-table", "--json"]) == 0
+lazy = {"genuskit.cosets", "genuskit.oracle_checks", "genuskit.kernel"}
+assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules))
+assert sorted(genuskit.rings.unit_group(12)) == [1, 5, 7, 11]
+import genuskit.cosets
+assert genuskit.FiniteGroup is genuskit.cosets.FiniteGroup
+names = {}
+exec("from genuskit import *", names)
+assert all(names[n] is getattr(genuskit, n) for n in genuskit.__all__)
+"""
+        env = dict(subprocess_env, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_start_path_modules_stay_small(self, subprocess_env):
+        """Every module that ``import genuskit, genuskit.cli`` loads is at
+        most 2,500 tokens long, comments and blank lines not counted: about
+        the size of atoms.py, the first that the import compiles.
+
+        With no bytecode cache, as in a fresh checkout, Python compiles each
+        module it imports, and the resident set stays at the high-water mark
+        of the largest compile.  Traced in a fresh ``python -S`` on x86_64
+        under Python 3.11, a compile after that of atoms.py (2,427 tokens)
+        raised the peak by 536 kB for the 3,425-token orders.py and by 356
+        kB for the 2,648-token acceptance.py; once both were split below
+        this bound, the import peaked about 0.6 MB lower."""
+        code = ("import sys, genuskit, genuskit.cli; print('\\n'.join("
+                "m.__file__ for n, m in sys.modules.items() if n.startswith('genuskit')))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=subprocess_env)
+        assert proc.returncode == 0, proc.stderr
+        sizes = {}
+        for path in proc.stdout.split():
+            with open(path, "rb") as source:
+                sizes[path] = sum(tok.type not in (tokenize.ENCODING, tokenize.COMMENT,
+                                                   tokenize.NL)
+                                  for tok in tokenize.tokenize(source.readline))
+        assert len(sizes) >= 8
+        assert {path: n for path, n in sizes.items() if n > 2500} == {}
 
     @pytest.mark.parametrize("argv, status", [([], 1), (["--help"], 0)])
     def test_arguments_come_from_sys_argv(self, subprocess_env, argv, status):

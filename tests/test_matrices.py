@@ -355,38 +355,27 @@ class TestRowKernel:
 
 
 class TestDistinctRows:
-    @staticmethod
-    def by_set(a):
-        if a.ndim == 1:
-            return sorted(set(a.tolist()))
-        return sorted(set(map(tuple, a.tolist())))
-
+    # the genus route and the stable-image search pass 1-D integer codes
     @pytest.mark.parametrize(
         "a",
-        [
-            np.empty((0, 3), dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.array([[4, -2, 7]]),
-            np.array([[3], [1], [3], [2], [1]]),
-            np.array([5, 1, 5, 5, 0]),
-        ],
-        ids=["empty-rows", "empty-1d", "one-row", "one-column", "1d"],
+        [np.empty(0, dtype=np.int64), np.array([5, 1, 5, 5, 0])],
+        ids=["empty-1d", "1d"],
     )
     def test_edge_shapes(self, a):
         got = kernel._distinct_rows(a)
-        assert got.ndim == a.ndim
-        assert [x if a.ndim == 1 else tuple(x) for x in got.tolist()] == self.by_set(a)
+        assert got.ndim == 1
+        assert got.tolist() == sorted(set(a.tolist()))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_set_of_tuples(self, seed):
+        # every column of the same seeded arrays, each as 1-D codes
         gen = np.random.default_rng(seed)
         for rows, cols, high in [(500, 2, 5), (300, 70, 2), (200, 4, 2**62),
                                  (1000, 1, 30)]:
             a = gen.integers(-high, high, size=(rows, cols), dtype=np.int64)
             a = np.concatenate([a, a[gen.integers(0, rows, size=rows // 3)]])
-            got = kernel._distinct_rows(a)
-            assert [tuple(x) for x in got.tolist()] == self.by_set(a)
-            assert kernel._distinct_rows(a[:, 0]).tolist() == self.by_set(a[:, 0])
+            for column in a.T:
+                assert kernel._distinct_rows(column).tolist() == sorted(set(column.tolist()))
 
     def test_genus_path_does_not_import_numpy_ma(self, subprocess_env):
         # np.unique imports numpy.ma on its first call, and numpy.random

@@ -1735,3 +1735,39 @@ class TestResourceLimitFields:
             tracemalloc.stop()
         assert info.value.phase == "determinant"
         assert peak < 5 * 2**20
+
+
+
+def nilpotent_spec(m, r):
+    """The subring of Mat_r(Z/m) generated by 2 + e_01: the matrices
+    a + b*e_01, of determinant a^r, m^2 of them."""
+    gen = MatModM(m, r, [2 * (i == j) + (i + 1 == j == 1) for i in range(r) for j in range(r)])
+    return OrderSpec(m=m, blocks=(r,), generators=((gen,),))
+
+
+class TestLaplacePlanMemory:
+    @pytest.mark.parametrize("chunk", [None, 0], ids=["python-ints", "kernel"])
+    def test_plan_above_the_bound_is_built_once_and_not_kept(self, monkeypatch, chunk):
+        # a 9x9 block at m = 27: det(K) = {a^9} = {+-1}, so the genus is
+        # phi(27)/2 = 9.  The lifts take one determinant per block and the
+        # steps det(1 + 3^i b) one each on Python ints; with _CHUNK = 0 the
+        # kernel's probe and then its lift scan take one per chunk.  They
+        # all share one plan, built once, and once the query returns only
+        # this test holds it: its references are the list's and those of
+        # getrefcount's argument
+        r = matrices._KEPT_PLAN + 1
+        if chunk is not None:
+            monkeypatch.setattr(matrices, "_CHUNK", chunk)
+        real, built = matrices._laplace_plan, []
+        monkeypatch.setattr(matrices, "_laplace_plan",
+                            lambda r: built.append(real(r)) or built[-1])
+        factors = spy(monkeypatch, "_factor")
+        assert genus(nilpotent_spec(27, r)).total == 9
+        assert len(factors) == (0 if chunk is None else 2)
+        factors.clear()  # the spy's record of the calls holds the plan too
+        holders = sys.getrefcount(built[0])
+        assert [len(plan) for plan in built] == [r - 1]
+        assert holders == 2
+        assert r not in matrices._kept_plans
+        kept = real(matrices._KEPT_PLAN)
+        assert kept is real(matrices._KEPT_PLAN) is matrices._kept_plans[matrices._KEPT_PLAN]
