@@ -18,13 +18,13 @@ process at all.
 from __future__ import annotations
 
 from itertools import chain, product
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
 from . import matrices, orders
 from .cosets import FiniteGroup
-from .matrices import MatModM, _laplace, _shape, _Shape, det, elementary_generators, mat_mul
+from .matrices import MatModM, _laplace, _shape, _Shape, elementary_generators, mat_mul
 from .rings import is_sign, prime_powers
 
 # -- row kernel ---------------------------------------------------------------
@@ -383,7 +383,9 @@ def _subring_units(S, m: int, blocks) -> FiniteGroup:
             for mat, r in zip(tup, blocks)
         ):
             raise ValueError(f"tuple {tup!r} does not match blocks {blocks} mod {m}")
-    units = frozenset(tup for tup in S if all(det(mat).is_unit() for mat in tup))
+    plans = matrices._laplace_plans(blocks)  # once, not once per element
+    units = frozenset(tup for tup in S if all(
+        gcd(_laplace(mat.entries, r, m, plans[r]), m) == 1 for mat, r in zip(tup, blocks)))
 
     def op(a, b):
         return tuple(mat_mul(x, y) for x, y in zip(a, b))

@@ -49,8 +49,8 @@ from . import matrices
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .matrices import DEFAULT_CAP, _laplace, _laplace_lists, _matmul, _Shape, _shape
 from .rings import ext_gcd, prime_powers, sign_count, totient
-# the values and the JSON format moved to genuskit.specs; bound here too, so
-# that the names they had in this module keep working
+# the spec values and their JSON format, defined in genuskit.specs, are
+# public names of this module as well
 from .specs import (GenusResult, OrderSpec, genus_pullback_formula, matrix_pullback_spec,
                     order_spec_from_dict, order_spec_to_dict, pullback_spec)
 

@@ -1737,12 +1737,18 @@ class TestResourceLimitFields:
         assert peak < 5 * 2**20
 
 
-
 def nilpotent_spec(m, r):
     """The subring of Mat_r(Z/m) generated by 2 + e_01: the matrices
     a + b*e_01, of determinant a^r, m^2 of them."""
     gen = MatModM(m, r, [2 * (i == j) + (i + 1 == j == 1) for i in range(r) for j in range(r)])
     return OrderSpec(m=m, blocks=(r,), generators=((gen,),))
+
+
+def record_plans(monkeypatch):
+    """The list of the plans matrices._laplace_plan returns from now on."""
+    real, built = matrices._laplace_plan, []
+    monkeypatch.setattr(matrices, "_laplace_plan", lambda r: built.append(real(r)) or built[-1])
+    return built
 
 
 class TestLaplacePlanMemory:
@@ -1753,14 +1759,11 @@ class TestLaplacePlanMemory:
         # steps det(1 + 3^i b) one each on Python ints; with _CHUNK = 0 the
         # kernel's probe and then its lift scan take one per chunk.  They
         # all share one plan, built once, and once the query returns only
-        # this test holds it: its references are the list's and those of
-        # getrefcount's argument
+        # this test holds it: by the list, and by getrefcount's argument
         r = matrices._KEPT_PLAN + 1
         if chunk is not None:
             monkeypatch.setattr(matrices, "_CHUNK", chunk)
-        real, built = matrices._laplace_plan, []
-        monkeypatch.setattr(matrices, "_laplace_plan",
-                            lambda r: built.append(real(r)) or built[-1])
+        real, built = matrices._laplace_plan, record_plans(monkeypatch)
         factors = spy(monkeypatch, "_factor")
         assert genus(nilpotent_spec(27, r)).total == 9
         assert len(factors) == (0 if chunk is None else 2)
@@ -1771,3 +1774,12 @@ class TestLaplacePlanMemory:
         assert r not in matrices._kept_plans
         kept = real(matrices._KEPT_PLAN)
         assert kept is real(matrices._KEPT_PLAN) is matrices._kept_plans[matrices._KEPT_PLAN]
+
+    def test_subring_units_builds_a_large_plan_once(self, monkeypatch):
+        # the oracle takes one determinant per element of the 25 a + b*e_01
+        # at m = 5, the 20 with a a unit among them, all by one 9x9 plan
+        r = matrices._KEPT_PLAN + 1
+        built = record_plans(monkeypatch)
+        closure = subring_closure(nilpotent_spec(5, r))
+        assert len(subring_units(closure, 5, (r,))) == 20
+        assert len(built) == 1
