@@ -10,7 +10,8 @@ class ResourceLimitError(RuntimeError):
     ``"determinant"``, ``"scan"`` or ``"factorization"``), ``needed`` the size
     it would have reached and ``cap`` the limit that size is above.  When
     ``lower_bound`` is true, ``needed`` is only a lower bound on that size:
-    the step was refused before the size itself was known.
+    the step was refused before the size itself was known, as a subring
+    closure is as soon as its span passes the cap.
     """
 
     def __init__(self, message: str, *, phase: str | None = None,

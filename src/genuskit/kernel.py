@@ -1,8 +1,9 @@
 """The numpy int64 row kernel, and all that runs on it: the enumerations of
-GL(r, Z/m) and of the stable image, the closure levels above one chunk of
-multiply-adds, the probes and lift scans of the prime-power factors of a
-genus count that pass one chunk, and the bodies of the oracle builders
-subring_closure and subring_units.
+GL(r, Z/m) and of the stable image, the probes and lift scans of the
+prime-power factors of a genus count that pass one chunk, and the bodies of
+the oracle builders subring_closure and subring_units.  The Howell basis
+of a subring is not built here: orders builds it on Python ints at every
+size, and only the enumeration of its elements runs on this kernel.
 
 This is the one module that imports numpy, once, at its top, and nothing
 imports it at load time: the public functions of :mod:`genuskit.matrices`
@@ -46,24 +47,10 @@ def _units(m: int) -> np.ndarray:
     return mask
 
 
-def _mul_rows(shape: _Shape, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Blockwise products mod m of two broadcastable int64 arrays of reduced
-    rows.  An entry of a product sums r terms below (m-1)^2, so the result
-    is exact in int64 while r*(m-1)^2 < 2^63 for the largest block size r.
-    """
-    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.empty(lead + (shape.width,), dtype=np.int64)
-    for r, off in zip(shape.blocks, shape.offsets):
-        x = a[..., off : off + r * r].reshape(a.shape[:-1] + (r, r))
-        y = b[..., off : off + r * r].reshape(b.shape[:-1] + (r, r))
-        out[..., off : off + r * r] = (x @ y).reshape(lead + (r * r,)) % shape.m
-    return out
-
-
 def _block_dets(shape: _Shape, rows: np.ndarray, plans: dict | None = None) -> np.ndarray:
     """Blockwise determinants mod m of reduced rows, one column per block,
     by _laplace over each block's entry columns; exact in int64 within the
-    range r*(m-1)^2 < 2^63 that _mul_rows and the subring closure admit.
+    range r*(m-1)^2 < 2^63 that the subring closure admits.
     ``plans`` maps each block size to its _laplace_plan, built here if not
     given."""
     plans = plans or matrices._laplace_plans(shape.blocks)
@@ -218,22 +205,6 @@ def _stable_against_signs(r: int, m: int) -> tuple[bool, int, int]:
     image = _stable_flat(r, m)
     expected = _gl_flat(r, m, is_sign(np.arange(m), m))
     return np.array_equal(image, expected), len(image), len(expected)
-
-
-# -- subrings above one chunk ---------------------------------------------------
-
-
-def _level_products(shape: _Shape, level: list[list[int]], gens: list[list[int]]):
-    """The products w*g of the words w of a closure level with every
-    generator g, as lists of rows, by _mul_rows in batches of at most
-    _CHUNK product entries or of one word; lazily, so that the closure can
-    stop between batches."""
-    width = shape.width
-    right = np.array(gens, dtype=np.int64)
-    level = np.array(level, dtype=np.int64)[:, None]
-    step = max(1, matrices._CHUNK // (len(gens) * width))
-    for lo in range(0, len(level), step):
-        yield _mul_rows(shape, level[lo : lo + step], right).reshape(-1, width).tolist()
 
 
 # -- prime-power factors of the genus count -----------------------------------

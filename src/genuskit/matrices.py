@@ -14,6 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import prod
+from operator import mul
 
 # FiniteGroup is named in annotations only: genuskit.cosets loads on first use
 from .errors import Frozen, ResourceLimitError
@@ -25,8 +26,8 @@ from .rings import Residue, prime_powers, sign_count, totient
 # For orders.genus and orders.subring_closure it bounds |S|, the number of
 # subring elements, and hence m, since the subring holds all m scalars.  The
 # subring is held as a basis, so |S| is exact before any element exists; the
-# cap is checked then, and the genus route scans only lifts of S/pS, a chunk
-# at a time.
+# cap is checked each time the basis grows, and the genus route scans only
+# lifts of S/pS, a chunk at a time.
 DEFAULT_CAP = 2_000_000
 
 
@@ -115,9 +116,15 @@ def mat_mul(a: MatModM, b: MatModM) -> MatModM:
 
 def _matmul(x, y, r: int) -> list[int]:
     """The unreduced row-major entries of the product of the r x r matrices
-    whose row-major entries are ``x`` and ``y``, on Python ints."""
-    return [sum(x[i * r + t] * y[t * r + j] for t in range(r))
-            for i in range(r) for j in range(r)]
+    whose row-major entries are ``x`` and ``y``, on Python ints: each row of
+    x against each column of y, where a zero row of x, common in the words
+    of a subring closure, gives a zero row with no multiplication."""
+    cols = [y[j::r] for j in range(r)]
+    out = []
+    for i in range(0, r * r, r):
+        row = x[i : i + r]
+        out += [sum(map(mul, row, col)) for col in cols] if any(row) else [0] * r
+    return out
 
 
 # A plan holds the r*2^(r-1) terms of an r x r determinant: 24 KB at r = 8,
@@ -168,9 +175,8 @@ def _laplace(x, r: int, m: int, plan: tuple | None = None):
     Z/m for composite m, and it costs about r*2^(r-1) products.  Every
     minor is reduced before it is used, and the terms of a minor alternate
     in sign, so a partial sum stays within ceil(r/2)*(m-1)^2 of zero: exact
-    in int64 over the range r*(m-1)^2 < 2^63 that _mul_rows and the
-    subring closure admit.  ``plan`` is _laplace_plan(r), built here if
-    not given."""
+    in int64 over the range r*(m-1)^2 < 2^63 that the subring closure
+    admits.  ``plan`` is _laplace_plan(r), built here if not given."""
     minors = x[(r - 1) * r:]
     for level in _laplace_plan(r) if plan is None else plan:
         reduced = []
@@ -241,12 +247,12 @@ def elementary_generators(r: int, m: int) -> list[MatModM]:
 # Internally an element of prod_i Mat(r_i, Z/m) is one row: the row-major
 # entries of every block, concatenated, reduced into 0..m-1.  MatModM
 # appears only at the public boundary, where mat_mul and det take exact
-# Python ints.  _CHUNK divides the work between Python ints and numpy: a
-# closure level of at most _CHUNK multiply-adds, and a prime-power factor
-# of a genus count whose lifts fit one chunk, stay on Python lists, which
-# spares a small query the time and memory of importing numpy and of
-# compiling genuskit.kernel; past that the rows are the numpy int64 rows
-# of that kernel, which reads _CHUNK from here at each call.
+# Python ints.  _CHUNK divides the work of a genus count between Python
+# ints and numpy: a prime-power factor whose lifts fit one chunk stays on
+# Python lists, which spares a small query the time and memory of
+# importing numpy and of compiling genuskit.kernel; past that the rows are
+# the numpy int64 rows of that kernel, which reads _CHUNK from here at
+# each call.  The subring closure runs on Python ints at every size.
 _CHUNK = 1 << 15
 
 

@@ -19,16 +19,17 @@ therefore normal in U with abelian quotient, and
     genus = [((Z/m)^x)^k : det(K) * {+-1}^k] = (phi(m)/sigma(m))^k / c
 
 for k blocks, sigma(m) = |{+-1}| and c the number of cosets of {+-1}^k that
-det(K) meets.  The subring S is held as a Howell basis over Z/m, so |S| is
-exact before any element exists, and that size is the only size limit.  A
-whole ring and a level with phi(m) = sigma(m) have genus 1 without a count
-of c.  Otherwise c is counted one prime power of m at a time, from lifts of
-S/pS, on Python ints where they and S fit one chunk, and by the numpy row
-kernel of :mod:`genuskit.kernel` where they do not; that module also holds
-a closure level above one chunk of multiply-adds and the bodies of the
-oracle builders subring_closure and subring_units, and is imported, with
-numpy, only when one of them first runs.  The generic engine in
-:mod:`genuskit.cosets` is the test oracle for the count.
+det(K) meets.  The subring S is held as a Howell basis over Z/m, built on
+Python ints at every size, so |S| is exact before any element exists, and
+that size is the only size limit: the closure refuses S as soon as its span
+passes the cap.  A whole ring and a level with phi(m) = sigma(m) have genus
+1 without a count of c.  Otherwise c is counted one prime power of m at a
+time, from lifts of S/pS, on Python ints where they and S fit one chunk,
+and by the numpy row kernel of :mod:`genuskit.kernel` where they do not;
+that module also holds the bodies of the oracle builders subring_closure
+and subring_units, and is imported, with numpy, only when one of them
+first runs.  The generic engine in :mod:`genuskit.cosets` is the test
+oracle for the count.
 
 genus_relative keeps its last 64 answers, keyed by the frozen OrderSpec and
 the cap, so an order asked again in one process (pullback levels shared by
@@ -87,20 +88,17 @@ def _mats_to_row(tup) -> tuple[int, ...]:
 # S is the Z/m-span of the words in the generators, the identity being the
 # empty word, so a span that holds the identity and is closed under right
 # multiplication by each generator is S.  The closure therefore runs
-# breadth-first over words: it inserts the identity and then the generators
-# themselves, the words 1*g, which make the first level without a product;
-# from there each level multiplies the words that grew the span on the right
-# by every generator, on Python ints when the level takes at most _CHUNK
-# multiply-adds and otherwise in numpy batches of at most _CHUNK product
-# entries, and inserts the products; those that grew the span make the
-# next level.  This
-# is exact.  Every word that did not grow the span lies in the span of words
-# that did, and each of those has all its products with a generator g
-# inserted, so by linearity the final span T has T*g inside T.  Every
-# insertion that grows the span at least doubles it, so at most log2|S|
-# words grow it, and at most as many levels run.
-# Once every pivot is 1 the span is the whole ring, which holds every
-# product, so the pass stops there, at the end of a level or a batch.
+# breadth-first over words, on Python ints: it inserts the identity and then
+# the generators themselves, the words 1*g, without a product; from there it
+# multiplies each word that grew the span on the right by every generator,
+# in the order the words grew it, and inserts the products.  This is exact.
+# Every word that did not grow the span lies in the span of words that did,
+# and each of those has all its products with a generator g inserted, so by
+# linearity the final span T has T*g inside T.  Every insertion that grows
+# the span at least doubles it, so at most log2(cap) + 1 words grow it before
+# |span| passes the cap, where the pass is refused, and only those words are
+# multiplied.  Once every pivot is 1 the span is the whole ring, which holds
+# every product, so the pass stops there, before the next product.
 
 
 def _insert(basis: dict[int, tuple[list[int], int]], m: int, v: list[int]) -> bool:
@@ -149,14 +147,13 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[list[list[int]], list[i
     """Howell basis of the subring generated by the identity and gen_rows:
     its rows in column order, as lists, and the additive order m/d_j of each.
 
-    The span is built from the words in gen_rows, breadth-first: the first
-    level is the generators, inserted after the identity, and each later
-    level multiplies the words that grew the span by every generator on the
-    right; the products that grow it make the next level.  A level whose
-    products take at most _CHUNK multiply-adds is multiplied by _mul_lists
-    on Python ints, and a larger one by the kernel's _level_products, in
-    batches of at most _CHUNK product entries or of one word.  ``cap``
-    bounds |S| = prod m/d_j, checked before any element is made.
+    The span is built from the words in gen_rows, breadth-first: after the
+    identity come the generators, and then the product w*g of each word w
+    that grew the span with every generator g, in the order the words grew
+    it.  A product is formed only when its turn comes, so the pass stops at
+    the insertion that makes the span the whole ring, and at the one that
+    takes |span| = prod m/d_j past ``cap``, which is refused with that
+    |span| as a lower bound on |S|.
     """
     m, width = shape.m, shape.width
     # the m multiples of the identity are distinct and lie in every subring
@@ -167,34 +164,22 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[list[list[int]], list[i
     if reach >= 2**63:
         raise ResourceLimitError(f"level {m} is past the row kernel's int64 range",
                                  phase="closure", needed=reach, cap=2**63 - 1)
-    basis = {}
+    basis, grown, whole = {}, [], m**width
     gens = [[e % m for e in g] for g in gen_rows]
     identity = [int(i == j) for r in shape.blocks for i in range(r) for j in range(r)]
     _insert(basis, m, identity)
-    frontier = [g for g in gens if _insert(basis, m, g)]
-    # the multiply-adds of the products of one word with every generator
-    cost = len(gens) * sum(r**3 for r in shape.blocks)
-
-    def whole() -> bool:
-        return len(basis) == width and all(d == 1 for _, d in basis.values())
-
-    while frontier and not whole():
-        level, frontier = frontier, []
-        if len(level) * cost <= matrices._CHUNK:
-            words = [_mul_lists(shape, w, g) for w in level for g in gens]
-            frontier = [w for w in words if _insert(basis, m, w)]
-            continue
-        from . import kernel
-        for words in kernel._level_products(shape, level, gens):
-            frontier += [w for w in words if _insert(basis, m, w)]
-            if whole():
+    # grown is read as it grows, so its words are taken first in, first out
+    for word in chain(gens, (_mul_lists(shape, w, g) for w in grown for g in gens)):
+        if _insert(basis, m, word):
+            size = prod(m // d for _, d in basis.values())
+            if size > cap:
+                raise ResourceLimitError(
+                    f"the subring has at least {size} elements, above the cap of {cap}",
+                    phase="closure", needed=size, cap=cap, lower_bound=True,
+                )
+            if size == whole:
                 break
-    size = prod(m // d for _, d in basis.values())
-    if size > cap:
-        raise ResourceLimitError(
-            f"the subring has {size} elements, above the cap of {cap}",
-            phase="closure", needed=size, cap=cap,
-        )
+            grown.append(word)
     reach = len(basis) * (m - 1) ** 2
     if reach >= 2**63:
         raise ResourceLimitError(

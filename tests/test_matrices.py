@@ -255,44 +255,43 @@ class TestStableImage:
 
 
 # largest m with 3 * (m - 1)^2 < 2^63, the top of the int64-exact range of
-# _mul_rows for 3x3 blocks
+# the row kernel for 3x3 blocks
 TOP_3X3 = math.isqrt((2**63 - 1) // 3) + 1
 
 
-def random_tuple(rng, blocks, m):
-    return [MatModM(m, r, [rng.randrange(m) for _ in range(r * r)]) for r in blocks]
+def random_tuple(rng, blocks, m, density=1.0):
+    return [MatModM(m, r, [rng.randrange(m) if rng.random() < density else 0
+                           for _ in range(r * r)]) for r in blocks]
 
 
 def flat_row(mats):
     return [e for mat in mats for e in mat.entries]
 
 
+def naive_product(x: MatModM, y: MatModM) -> list[int]:
+    # independent oracle: the triple loop, one entry at a time
+    r, m = x.size, x.modulus
+    return [sum(x.entries[i * r + t] * y.entries[t * r + j] for t in range(r)) % m
+            for i in range(r) for j in range(r)]
+
+
 class TestRowKernel:
     @pytest.mark.parametrize("blocks, m", [((1, 2, 3, 4), 12), ((3,), TOP_3X3)])
     def test_mul_rows_matches_mat_mul(self, blocks, m):
+        # dense pairs, the all-(m-1) pair, and sparse 10x10 and 26x26 pairs
+        # with zero rows, which mat_mul skips
         rng = random.Random(7)
         pairs = [(random_tuple(rng, blocks, m), random_tuple(rng, blocks, m))
                  for _ in range(40)]
         top = [MatModM(m, r, [m - 1] * (r * r)) for r in blocks]
         pairs.append((top, top))
-        a = np.array([flat_row(x) for x, _ in pairs])
-        b = np.array([flat_row(y) for _, y in pairs])
-        got = kernel._mul_rows(matrices._shape(m, blocks), a, b)
-        expected = [flat_row(map(mat_mul, x, y)) for x, y in pairs]
-        assert got.tolist() == expected
-
-    def test_mul_rows_broadcasts_one_row(self):
-        rng = random.Random(8)
-        blocks, m = (2, 3), 10
-        shape = matrices._shape(m, blocks)
-        xs = [random_tuple(rng, blocks, m) for _ in range(20)]
-        y = random_tuple(rng, blocks, m)
-        stack = np.array([flat_row(x) for x in xs])
-        row = np.array(flat_row(y))
-        right = kernel._mul_rows(shape, stack, row)
-        left = kernel._mul_rows(shape, row, stack)
-        assert right.tolist() == [flat_row(map(mat_mul, x, y)) for x in xs]
-        assert left.tolist() == [flat_row(map(mat_mul, y, x)) for x in xs]
+        for r in (10, 26):
+            pairs += [(random_tuple(rng, (r,), m, 0.05), random_tuple(rng, (r,), m, 0.3))
+                      for _ in range(4)]
+        for x, y in pairs:
+            assert flat_row(map(mat_mul, x, y)) == [
+                e for a, b in zip(x, y) for e in naive_product(a, b)]
+        assert sum(not any(row) for x, _ in pairs[41:] for row in x[0].rows) > 40
 
     @pytest.mark.parametrize(
         "r, m", [(r, m) for r in (1, 2) for m in range(1, 9)] + [(3, 2), (3, 3)]
@@ -455,12 +454,13 @@ class TestClosedFormAndRowTables:
     )
     def test_row_table_matches_mul_rows(self, r, m):
         rng = np.random.default_rng(r * 100 + m)
-        shape = matrices._shape(m, (r,))
         place = m ** np.arange(r * r - 1, -1, -1, dtype=np.int64)
         rows = rng.integers(0, m, size=(60, r * r), dtype=np.int64)
         mats = elementary_generators(r, m)
         gens = np.array([g.entries for g in mats])
-        expected = kernel._mul_rows(shape, rows[:, None], gens) @ place
+        # every row times every generator, as r x r matrix products mod m
+        products = rows.reshape(-1, 1, r, r) @ gens.reshape(1, -1, r, r) % m
+        expected = products.reshape(len(rows), len(gens), r * r) @ place
         table = kernel._row_table(mats)
         assert table.shape == (len(gens), m**r)
         got = kernel._right_products(table, rows @ place, r)
@@ -470,7 +470,7 @@ class TestClosedFormAndRowTables:
         def fail(*args):
             raise AssertionError("a matrix was decoded or multiplied")
 
-        for name in ("_mul_rows", "_combinations", "_elements"):
+        for name in ("_combinations", "_elements"):
             monkeypatch.setattr(kernel, name, fail)
         # orders from the parametrized carrier and brute-scan tests above
         for r, m, order in [(1, 1, 1), (1, 7, 2), (2, 1, 1), (2, 5, 240),

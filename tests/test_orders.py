@@ -181,8 +181,9 @@ class TestSubringClosure:
             subring_closure(spec, cap=71)
 
     def test_cap(self):
-        # the message names the exact size, 7^4, known from the basis
-        with pytest.raises(ResourceLimitError, match="2401"):
+        # the span of 1, e12 and e21 has 7^3 elements, past the cap, and the
+        # message names that lower bound on the 7^4 of the whole ring
+        with pytest.raises(ResourceLimitError, match="at least 343 "):
             subring_closure(matrix_units_spec(7), cap=100)
 
     def test_cap_checked_before_enumeration(self, monkeypatch):
@@ -297,39 +298,27 @@ class TestSubringClosure:
             assert len(got) == len(set(got)) == np.prod(additive)
             assert set(got) == brute, spec
 
-    def test_closure_matches_an_identity_frontier(self, monkeypatch):
+    def test_closure_matches_an_identity_frontier(self):
         # the generators are the closure's first level; the reference starts
-        # from the identity alone and reaches them as the products 1 * g, so
-        # both insert the same vectors in the same order, and so does the
-        # closure whether each level is multiplied on Python ints, within a
-        # chunk of multiply-adds, or by _mul_rows in batches of 64 entries
-        # or, with _CHUNK = 0, of one word
+        # from the identity alone and reaches them as the products 1 * g, and
+        # multiplies a whole level before it inserts any of it, so both
+        # insert the same vectors in the same order
         def reference(shape, gen_rows, m):
             basis, width = {}, shape.width
-            gens = np.array(gen_rows, dtype=np.int64).reshape(-1, width) % m
+            gens = [[e % m for e in g] for g in gen_rows]
             identity = [int(i == j) for r in shape.blocks
                         for i in range(r) for j in range(r)]
             frontier = [identity] if orders._insert(basis, m, identity) else []
             while frontier and (len(basis) < width
                                 or any(d > 1 for _, d in basis.values())):
-                words = kernel._mul_rows(
-                    shape, np.array(frontier, dtype=np.int64)[:, None], gens)
-                frontier = [w for w in words.reshape(-1, width).tolist()
-                            if orders._insert(basis, m, w)]
+                words = [orders._mul_lists(shape, w, g) for w in frontier for g in gens]
+                frontier = [w for w in words if orders._insert(basis, m, w)]
             cols = sorted(basis)
             return [basis[j][0] for j in cols], [m // basis[j][1] for j in cols]
 
-        products, real_mul = [], kernel._mul_rows
-
-        def mul_rows(*args):
-            out = real_mul(*args)
-            products.append(out.size)
-            return out
-
-        monkeypatch.setattr(kernel, "_mul_rows", mul_rows)
         rng = random.Random(16)
         levels = (2, 3, 4, 5, 6, 8, 9, 10, 12)
-        composite = batched = 0
+        composite = 0
         for _ in range(240):
             blocks = rng.choice([(1, 1), (2,), (1, 2), (1, 1, 1), (3,)])
             m = rng.choice(levels)
@@ -337,20 +326,11 @@ class TestSubringClosure:
             shape = matrices._shape(m, blocks)
             rows = [orders._mats_to_row(t) for t in spec.generators]
             want_rows, want_additive = reference(shape, rows, m)
-            calls = []
-            for chunk in (1 << 15, 64, 0):
-                monkeypatch.setattr(matrices, "_CHUNK", chunk)
-                products.clear()
-                got_rows, got_additive = orders._closure(shape, rows, 10**30)
-                assert got_rows == want_rows, (spec, chunk)
-                assert got_additive == want_additive, (spec, chunk)
-                assert all(n <= max(chunk, len(rows) * shape.width) for n in products)
-                calls.append(len(products))
-            # these levels all fit one chunk of multiply-adds
-            assert calls[0] == 0, spec
+            got_rows, got_additive = orders._closure(shape, rows, 10**30)
+            assert got_rows == want_rows, spec
+            assert got_additive == want_additive, spec
             composite += m in (4, 6, 8, 9, 10, 12)
-            batched += calls[2] > calls[1] > 0
-        assert composite >= 100 and batched >= 20, (composite, batched)
+        assert composite >= 100, composite
 
     def test_chunk_size_and_enumerator_live_in_the_row_kernel(self):
         # the kernel owns every name of the numpy route, neither matrices
@@ -571,7 +551,7 @@ class TestGenus:
     def test_cap_propagates(self):
         # the cap bounds only the subring, which has 6 elements here
         assert genus(OrderSpec(m=6, blocks=(3,), generators=())).total == 1
-        with pytest.raises(ResourceLimitError, match="2401"):
+        with pytest.raises(ResourceLimitError, match="at least 343 "):
             genus(matrix_units_spec(7), cap=100)
         with pytest.raises(ResourceLimitError):
             genus(pullback_spec(30), cap=3)
@@ -622,7 +602,7 @@ class TestGenusMemo:
 
     def test_refusal_raises_again_and_is_not_kept(self):
         for _ in range(2):
-            with pytest.raises(ResourceLimitError, match="2401"):
+            with pytest.raises(ResourceLimitError, match="at least 343 "):
                 genus_relative(matrix_units_spec(7), 100)
         info = genus_relative.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
@@ -1018,10 +998,10 @@ def units_spec(m, blocks, cells):
 
 
 # the functions of the numpy route, which genuskit.kernel defines
-KERNEL_NAMES = ("_units", "_mul_rows", "_block_dets", "_distinct_rows",
+KERNEL_NAMES = ("_units", "_block_dets", "_distinct_rows",
                 "_combinations", "_elements", "_gl_flat", "_row_table",
                 "_right_products", "_stable_flat", "_group", "_outside",
-                "_generator", "_lattice", "_factor", "_level_products",
+                "_generator", "_lattice", "_factor",
                 "_stable_against_signs", "_row_to_mats", "_subring_closure",
                 "_subring_units")
 
@@ -1127,9 +1107,7 @@ class TestShortcuts:
 
     @pytest.mark.parametrize("spec", WHOLE_RINGS, ids=["3@5", "1,2@9"])
     def test_closure_stops_once_the_span_is_whole(self, monkeypatch, spec):
-        # no words are multiplied once every pivot is 1: on Python ints, as
-        # these levels fit one chunk of multiply-adds, and by _mul_rows when
-        # _CHUNK = 0 sends every level there
+        # no word is multiplied after the insertion that makes every pivot 1
         whole, products = [False], []
         real_insert = orders._insert
         width = sum(r * r for r in spec.blocks)
@@ -1139,19 +1117,14 @@ class TestShortcuts:
             whole[0] = len(basis) == width and all(d == 1 for _, d in basis.values())
             return grew
 
+        def mul(*args, real_mul=orders._mul_lists):
+            products.append(whole[0])
+            return real_mul(*args)
+
         monkeypatch.setattr(orders, "_insert", insert)
-        for chunk, name in ((matrices._CHUNK, "_mul_lists"), (0, "_mul_rows")):
-            monkeypatch.setattr(matrices, "_CHUNK", chunk)
-            real_mul = getattr(home(name), name)
-
-            def mul(*args, real_mul=real_mul):
-                products.append(whole[0])
-                return real_mul(*args)
-
-            whole[0], products[:] = False, []
-            monkeypatch.setattr(home(name), name, mul)
-            assert subring_size(spec) == spec.m**width
-            assert whole[0] and products and not any(products), name
+        monkeypatch.setattr(orders, "_mul_lists", mul)
+        assert subring_size(spec) == spec.m**width
+        assert whole[0] and products and not any(products)
 
     @pytest.mark.parametrize("spec", BIG_TRIANGULAR, ids=["2@36", "2,2@9"])
     def test_probe_settles_a_proper_subring(self, monkeypatch, spec):
@@ -1203,7 +1176,7 @@ class TestShortcuts:
         # in the span, and the m scalars make one chunk: the genus takes no
         # blockwise product and nothing of the numpy row kernel; with
         # _CHUNK = 0 the numpy route takes no product either, and agrees
-        forbid(monkeypatch, "_mul_rows", "_mul_lists")
+        forbid(monkeypatch, "_mul_lists")
         with monkeypatch.context() as patch:
             forbid(patch, "_elements", "_block_dets", "_factor", "_combinations")
             for m in range(2, 161):
@@ -1650,11 +1623,13 @@ class TestResourceLimitFields:
             "closure", (2**40 - 1) ** 2, 2**63 - 1, False)
 
     def test_subring_above_cap(self):
-        with pytest.raises(ResourceLimitError, match="^the subring has 2401 "
+        # refused at the insertion of e21, whose span of 7^3 elements is a
+        # lower bound on the 7^4 of the whole ring
+        with pytest.raises(ResourceLimitError, match="^the subring has at least 343 "
                            "elements, above the cap of 100$") as info:
             genus(matrix_units_spec(7), cap=100)
         e = info.value
-        assert (e.phase, e.needed, e.cap, e.lower_bound) == ("closure", 2401, 100, False)
+        assert (e.phase, e.needed, e.cap, e.lower_bound) == ("closure", 343, 100, True)
 
     def test_basis_past_int64(self, monkeypatch):
         # upper triangular 2x2 at m = 2^31 - 1: products of two entries
