@@ -1175,7 +1175,7 @@ class TestShortcuts:
         # the generator (1, 1) is the identity, which the first level finds
         # in the span, and the m scalars make one chunk: the genus takes no
         # blockwise product and nothing of the numpy row kernel; with
-        # _CHUNK = 0 the numpy route takes no product either, and agrees
+        # _CHUNK = 0 every factor takes the kernel, and agrees
         forbid(monkeypatch, "_mul_lists")
         with monkeypatch.context() as patch:
             forbid(patch, "_elements", "_block_dets", "_factor", "_combinations")
@@ -1631,6 +1631,61 @@ class TestResourceLimitFields:
         e = info.value
         assert (e.phase, e.needed, e.cap, e.lower_bound) == ("closure", 343, 100, True)
 
+    def test_closure_refuses_exactly_above_the_cap(self):
+        # the random-spec shapes and levels at the caps |S| - 1, |S| and
+        # three random caps below |S|: refused exactly when |S| > cap, with
+        # the span reached then, cap < needed <= |S|, as a lower bound
+        rng = random.Random(28)
+        levels = (2, 3, 4, 5, 6, 8, 9, 10, 12)
+        refused = below_s = 0
+        for _ in range(150):
+            blocks = rng.choice([(1, 1), (2,), (1, 2), (1, 1, 1), (3,)])
+            m = rng.choice(levels)
+            spec = random_spec(rng, m, blocks, n_gens=rng.randint(0, 3))
+            shape = matrices._shape(m, blocks)
+            rows = [orders._mats_to_row(t) for t in spec.generators]
+            want = orders._closure(shape, rows, 10**30)
+            size = prod(want[1])
+            for cap in (size - 1, size, *(rng.randrange(1, size) for _ in range(3))):
+                try:
+                    got = orders._closure(shape, rows, cap)
+                except ResourceLimitError as e:
+                    assert size > cap, (spec, cap)
+                    assert (e.phase, e.cap, e.lower_bound) == ("closure", cap, True)
+                    assert cap < e.needed <= size, (spec, cap, e.needed)
+                    refused += 1
+                    below_s += e.needed < size
+                else:
+                    assert size <= cap and got == want, (spec, cap)
+        assert refused == 4 * 150 and below_s >= 100, (refused, below_s)
+
+    def test_big_whole_ring_is_refused_fast(self, subprocess_env):
+        # the 26x26 block at m = 5 generated by e_{i,i+1} and e_{i+1,i}: the
+        # span passes the default cap within the generators, so the refusal
+        # takes no product, in a fresh process that loads no numpy
+        script = """
+import sys, time
+from genuskit import MatModM, OrderSpec, genus
+from genuskit.errors import ResourceLimitError
+r = 26
+cells = [(i, i + 1) for i in range(r - 1)] + [(i + 1, i) for i in range(r - 1)]
+gens = tuple((MatModM(5, r, [int((a, b) == c) for a in range(r) for b in range(r)]),)
+             for c in cells)
+start = time.perf_counter()
+try:
+    genus(OrderSpec(m=5, blocks=(r,), generators=gens))
+except ResourceLimitError as e:
+    assert (e.phase, e.needed, e.lower_bound) == ("closure", 5**10, True), vars(e)
+else:
+    raise AssertionError("not refused")
+elapsed = time.perf_counter() - start
+assert elapsed < 0.5, elapsed
+assert "numpy" not in sys.modules and "genuskit.kernel" not in sys.modules
+"""
+        run = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+
     def test_basis_past_int64(self, monkeypatch):
         # upper triangular 2x2 at m = 2^31 - 1: products of two entries
         # stay in range, but a sum over the 3 basis rows does not, and the
@@ -1758,3 +1813,35 @@ class TestLaplacePlanMemory:
         closure = subring_closure(nilpotent_spec(5, r))
         assert len(subring_units(closure, 5, (r,))) == 20
         assert len(built) == 1
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS from /proc")
+class TestLongLivedProcess:
+    def test_memory_stays_bounded(self, subprocess_env):
+        # one process runs a mixed sequence twice: the scalar blocks up to
+        # 17x17 at m = 5, whose Laplace plans reach 91 MB (14 and 15, which
+        # take a second between them, are left out), more pullback
+        # levels than the 64 answers the memo keeps, so that every query is
+        # computed again in the second round, and matrix_pullback_spec(5, 3),
+        # whose factors take the row kernel.  Measured on Linux, Python 3.11:
+        # 55 and 67 MB after the rounds, and 123 MB where the 17x17 plan
+        # alone is kept
+        script = """
+from genuskit import OrderSpec, genus, genus_relative, matrix_pullback_spec, pullback_spec
+def rss():
+    with open("/proc/self/status") as f:
+        return next(int(l.split()[1]) for l in f if l.startswith("VmRSS")) / 1024
+for _ in range(2):
+    for r in (*range(1, 14), 16, 17):
+        assert genus(OrderSpec(m=5, blocks=(r,), generators=())).total == 2 - r % 2
+    for m in [*range(2, 100), 40009, 65537]:
+        genus(pullback_spec(m))
+    assert genus(matrix_pullback_spec(5, 3)).total == 2
+    print(round(rss(), 1))
+assert genus_relative.cache_info().hits == 0
+"""
+        run = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        rounds = [float(x) for x in run.stdout.split()]
+        assert len(rounds) == 2 and rounds[-1] < 100, rounds
