@@ -3,7 +3,9 @@ GL(r, Z/m) and of the stable image, the probes and lift scans of the
 prime-power factors of a genus count that pass one chunk, and the bodies of
 the oracle builders subring_closure and subring_units.  The Howell basis
 of a subring is not built here: orders builds it on Python ints at every
-size, and only the enumeration of its elements runs on this kernel.
+size, and only the enumeration of its elements runs on this kernel.  No
+other module does int64 arithmetic, so _check_int64, which refuses work
+past int64 before any array is built, is the one int64 range check.
 
 This is the one module that imports numpy, once, at its top, and nothing
 imports it at load time: the public functions of :mod:`genuskit.matrices`
@@ -25,7 +27,8 @@ import numpy as np
 
 from . import matrices, orders
 from .cosets import FiniteGroup
-from .matrices import MatModM, _laplace, _shape, _Shape, elementary_generators, mat_mul
+from .errors import ResourceLimitError
+from .matrices import MatModM, _laplace_lists, _shape, _Shape, elementary_generators, mat_mul
 from .rings import is_sign, prime_powers
 
 # -- row kernel ---------------------------------------------------------------
@@ -47,12 +50,44 @@ def _units(m: int) -> np.ndarray:
     return mask
 
 
+def _check_int64(m: int, terms: int, count: int, phase: str = "enumeration") -> None:
+    """Refuse, before any array is built, work that would leave int64: sums
+    of ``terms`` products of two residues mod m, the most that _laplace,
+    _combinations and the row tables take, or an index into ``count``
+    elements."""
+    for needed, what in ((terms * (m - 1) ** 2, f"residue products, {terms} to a sum,"),
+                         (count, f"{count} elements")):
+        if needed >= 2**63:
+            raise ResourceLimitError(f"{what} at level {m} are past the int64 range",
+                                     phase=phase, needed=needed, cap=2**63 - 1)
+
+
+def _laplace(x: list[np.ndarray], r: int, m: int, plan: tuple) -> np.ndarray:
+    """matrices._laplace_lists on int64 columns, one matrix per row, each
+    entry reduced into 0..m-1.  A minor's terms alternate in sign and each
+    minor is reduced before use, so a partial sum stays within
+    ceil(r/2)*(m-1)^2 of zero: exact while r*(m-1)^2 < 2^63."""
+    minors = x[(r - 1) * r:]
+    for level in plan:
+        reduced = []
+        for (e, i, _), *rest in level:  # the first term's sign is +1
+            acc = x[e] * minors[i]
+            for e, i, sign in rest:
+                if sign > 0:
+                    acc += x[e] * minors[i]
+                else:
+                    acc -= x[e] * minors[i]
+            acc %= m
+            reduced.append(acc)
+        minors = reduced
+    return minors[0]
+
+
 def _block_dets(shape: _Shape, rows: np.ndarray, plans: dict | None = None) -> np.ndarray:
     """Blockwise determinants mod m of reduced rows, one column per block,
-    by _laplace over each block's entry columns; exact in int64 within the
-    range r*(m-1)^2 < 2^63 that the subring closure admits.
-    ``plans`` maps each block size to its _laplace_plan, built here if not
-    given."""
+    by _laplace over each block's entry columns, at a level and block sizes
+    that _check_int64 admits.  ``plans`` maps each block size to its
+    _laplace_plan, built here if not given."""
     plans = plans or matrices._laplace_plans(shape.blocks)
     # column-major, so that each block's column is contiguous
     out = np.empty((len(rows), len(shape.blocks)), dtype=np.int64, order="F")
@@ -132,6 +167,7 @@ def _gl_flat(r: int, m: int, mask: np.ndarray | None = None) -> np.ndarray:
     mask[d] True, filtered from the _elements of the standard basis, whose
     element i has base-m code i.  The default mask, the units mod m, gives
     GL(r, Z/m); criterion 4 passes the signs +-1."""
+    _check_int64(m, r, m ** (r * r), "scan")
     shape = _shape(m, (r,))
     mask = _units(m) if mask is None else mask
     chunks = _elements(shape, np.eye(r * r, dtype=np.int64), [m] * (r * r))
@@ -170,6 +206,7 @@ def _stable_flat(r: int, m: int) -> np.ndarray:
     multiplied.  What was reached is marked in a boolean map over all
     m^(r^2) codes, which matrices._check_scan_cap bounds.  It serves
     stable_image and criterion 4."""
+    _check_int64(m, r, m ** (r * r), "scan")
     if r == 1:
         return np.array(sorted({1 % m, -1 % m}), dtype=np.int64)
     table = _row_table(elementary_generators(r, m))
@@ -284,9 +321,11 @@ def _factor(shape: _Shape, rows: list[list[int]], p: int, e: int,
     det(1 + p^i rows[j]); with ``probe``, G is the subgroup of D_q that the
     steps and the lifts at the indices i*t mod p^n, i < _PROBE, generate,
     for t the integer nearest p^n/phi, phi the golden ratio, made prime to p.
-    ``plans`` are the blocks' _laplace_plans, built once here if not given."""
-    plans = plans or matrices._laplace_plans(shape.blocks)
+    ``plans`` are the blocks' _laplace_plans, built once here if not given.
+    The int64 guard comes first, as the probe's indices are int64 too."""
     q, n, k = p**e, len(rows), len(shape.blocks)
+    _check_int64(q, max(n, *shape.blocks), p**n)
+    plans = plans or matrices._laplace_plans(shape.blocks)
     shape = _shape(q, shape.blocks)
     basis = np.array(rows, dtype=np.int64).reshape(n, shape.width)
     if probe:
@@ -332,7 +371,7 @@ def _subring_closure(spec, cap: int) -> set:
     shape = _shape(spec.m, spec.blocks)
     gen_rows = [orders._mats_to_row(t) for t in spec.generators]
     basis, additive = orders._closure(shape, gen_rows, cap)
-    orders._check_index(prod(additive))
+    _check_int64(spec.m, len(basis), prod(additive))
     return {
         _row_to_mats(shape, row)
         for rows in _elements(shape, basis, additive)
@@ -354,9 +393,10 @@ def _subring_units(S, m: int, blocks) -> FiniteGroup:
             for mat, r in zip(tup, blocks)
         ):
             raise ValueError(f"tuple {tup!r} does not match blocks {blocks} mod {m}")
-    plans = matrices._laplace_plans(blocks)  # once, not once per element
-    units = frozenset(tup for tup in S if all(
-        gcd(_laplace(mat.entries, r, m, plans[r]), m) == 1 for mat, r in zip(tup, blocks)))
+    plans = matrices._laplace_plans(blocks)  # each block in one pass, on Python ints
+    entries = [list(zip(*(t[i].entries for t in S))) for i in range(len(blocks))]
+    dets = zip(*(_laplace_lists(x, r, m, plans[r]) for x, r in zip(entries, blocks)))
+    units = frozenset(tup for tup, d in zip(S, dets) if all(gcd(x, m) == 1 for x in d))
 
     def op(a, b):
         return tuple(mat_mul(x, y) for x, y in zip(a, b))

@@ -2,11 +2,10 @@
 subgroup generated by elementary matrices (the mod-m image of the global
 unit group of the integer matrix ring), and the orders of both in closed
 form.  Determinants of every size take one division-free Laplace
-expansion, on Python ints in ``det``, on columns of Python ints and on the
-int64 columns of the row kernel.  The enumerations of the two groups run
-on that kernel, :mod:`genuskit.kernel`, which they import on their first
-call, so a process that never enumerates a group loads neither that
-module nor numpy here.
+expansion, on Python ints here, exact at any level, and on the int64
+columns of the row kernel, :mod:`genuskit.kernel`.  The enumerations of the
+two groups run on that kernel, which they import on their first call, so
+a process that never enumerates a group loads neither it nor numpy here.
 """
 
 from __future__ import annotations
@@ -168,35 +167,12 @@ def _laplace_plans(blocks) -> dict[int, tuple]:
     return {r: _laplace_plan(r) for r in blocks}
 
 
-def _laplace(x, r: int, m: int, plan: tuple | None = None):
-    """Determinant mod m of the r x r matrix whose row-major entries, each
-    reduced into 0..m-1, are ``x``: Python ints, or int64 columns that
-    hold one matrix per row.  It takes no division, so it is exact over
-    Z/m for composite m, and it costs about r*2^(r-1) products.  Every
-    minor is reduced before it is used, and the terms of a minor alternate
-    in sign, so a partial sum stays within ceil(r/2)*(m-1)^2 of zero: exact
-    in int64 over the range r*(m-1)^2 < 2^63 that the subring closure
-    admits.  ``plan`` is _laplace_plan(r), built here if not given."""
-    minors = x[(r - 1) * r:]
-    for level in _laplace_plan(r) if plan is None else plan:
-        reduced = []
-        for (e, i, _), *rest in level:  # the first term's sign is +1
-            acc = x[e] * minors[i]
-            for e, i, sign in rest:
-                if sign > 0:
-                    acc += x[e] * minors[i]
-                else:
-                    acc -= x[e] * minors[i]
-            acc %= m
-            reduced.append(acc)
-        minors = reduced
-    return minors[0]
-
-
 def _laplace_lists(x: list[list[int]], r: int, m: int, plan: tuple) -> list[int]:
-    """_laplace on Python lists: ``x`` holds one list per entry of the r x r
-    matrices, row-major, and the result one determinant mod m per matrix.
-    Python ints are exact at any size, so the entries need not be reduced."""
+    """Determinants mod m of r x r matrices by the division-free Laplace
+    expansion ``plan``, _laplace_plan(r), exact over Z/m for composite m at
+    about r*2^(r-1) products each: ``x`` holds one list of Python ints per
+    entry, row-major, which need not be reduced, and the result one
+    determinant per matrix.  kernel._laplace is the same on int64 columns."""
     if r == 1:
         return [d % m for d in x[0]]
     minors = x[(r - 1) * r:]
@@ -215,8 +191,9 @@ def _laplace_lists(x: list[list[int]], r: int, m: int, plan: tuple) -> list[int]
 
 
 def det(a: MatModM) -> Residue:
-    """Determinant by Laplace expansion, exact over Z/m for every size."""
-    return Residue(_laplace(a.entries, a.size, a.modulus), a.modulus)
+    """Determinant by Laplace expansion on Python ints, exact at any size."""
+    x = [[e] for e in a.entries]
+    return Residue(_laplace_lists(x, a.size, a.modulus, _laplace_plan(a.size))[0], a.modulus)
 
 
 def elementary_generators(r: int, m: int) -> list[MatModM]:

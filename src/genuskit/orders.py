@@ -25,11 +25,12 @@ that size is the only size limit: the closure refuses S as soon as its span
 passes the cap.  A whole ring and a level with phi(m) = sigma(m) have genus
 1 without a count of c.  Otherwise c is counted one prime power of m at a
 time, from lifts of S/pS, on Python ints where they and S fit one chunk,
-and by the numpy row kernel of :mod:`genuskit.kernel` where they do not;
-that module also holds the bodies of the oracle builders subring_closure
-and subring_units, and is imported, with numpy, only when one of them
-first runs.  The generic engine in :mod:`genuskit.cosets` is the test
-oracle for the count.
+and by the numpy row kernel of :mod:`genuskit.kernel` where they do not,
+which alone checks the int64 range: the count here has none.  That module
+also holds the bodies of the oracle builders subring_closure and
+subring_units, and is imported, with numpy, only when one of them first
+runs.  The generic engine in :mod:`genuskit.cosets` is the test oracle
+for the count.
 
 genus_relative keeps its last 64 answers, keyed by the frozen OrderSpec and
 the cap, so an order asked again in one process (pullback levels shared by
@@ -48,7 +49,7 @@ from pathlib import Path
 # FiniteGroup is named in annotations only: genuskit.cosets loads on first use
 from . import matrices
 from .errors import InternalInconsistencyError, ResourceLimitError
-from .matrices import DEFAULT_CAP, _laplace, _laplace_lists, _matmul, _Shape, _shape
+from .matrices import DEFAULT_CAP, _laplace_lists, _matmul, _Shape, _shape
 from .rings import ext_gcd, prime_powers, sign_count, totient
 # the spec values and their JSON format, defined in genuskit.specs, are
 # public names of this module as well
@@ -153,17 +154,13 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[list[list[int]], list[i
     it.  A product is formed only when its turn comes, so the pass stops at
     the insertion that makes the span the whole ring, and at the one that
     takes |span| = prod m/d_j past ``cap``, which is refused with that
-    |span| as a lower bound on |S|.
+    |span| as a lower bound on |S|.  On Python ints, no level is too large.
     """
     m, width = shape.m, shape.width
     # the m multiples of the identity are distinct and lie in every subring
     if m > cap:
         raise ResourceLimitError(f"a subring mod {m} exceeds the cap of {cap}",
                                  phase="closure", needed=m, cap=cap, lower_bound=True)
-    reach = max(shape.blocks) * (m - 1) ** 2
-    if reach >= 2**63:
-        raise ResourceLimitError(f"level {m} is past the row kernel's int64 range",
-                                 phase="closure", needed=reach, cap=2**63 - 1)
     basis, grown, whole = {}, [], m**width
     gens = [[e % m for e in g] for g in gen_rows]
     identity = [int(i == j) for r in shape.blocks for i in range(r) for j in range(r)]
@@ -180,12 +177,6 @@ def _closure(shape: _Shape, gen_rows, cap: int) -> tuple[list[list[int]], list[i
             if size == whole:
                 break
             grown.append(word)
-    reach = len(basis) * (m - 1) ** 2
-    if reach >= 2**63:
-        raise ResourceLimitError(
-            f"{len(basis)} basis rows at level {m} are past the int64 range",
-            phase="enumeration", needed=reach, cap=2**63 - 1,
-        )
     cols = sorted(basis)
     return [basis[j][0] for j in cols], [m // basis[j][1] for j in cols]
 
@@ -249,11 +240,12 @@ def _prime_cosets(shape: _Shape, basis: list[list[int]], additive: list[int],
     and the generators det(1 + p^i b_j) of det(1 + pS_q), as prod_q |D_q|
     over the number of sign tuples that lie in every D_q.  A factor whose
     lifts fit one chunk, and at e > 1 whose subring does too, is counted
-    on Python ints, and any other by kernel._factor, which gives |D_q| and
-    the sign tuples in D_q, all that the join reads; the kernel's probes
-    come first where |S| passes one chunk and |S| >= |Q| = ``full``.  A
-    sign tuple is kept as its entries' truth of s_i == 1, the same for
-    every q > 2; mod 2 every sign is 1, which lies in D_2."""
+    on Python ints, its lifts and steps as one pass of _laplace_lists per
+    block, and any other by kernel._factor, which gives |D_q| and the sign
+    tuples in D_q, all that the join reads; the kernel's probes come first
+    where |S| passes one chunk and |S| >= |Q| = ``full``.  A sign tuple is
+    kept as its entries' truth of s_i == 1, the same for every q > 2; mod 2
+    every sign is 1, which lies in D_2."""
     blocks, k = list(zip(shape.blocks, shape.offsets)), len(shape.blocks)
     identity = [int(i == j) for r in shape.blocks for i in range(r) for j in range(r)]
     plans = matrices._laplace_plans(shape.blocks)  # once per query, for every factor
@@ -272,15 +264,14 @@ def _prime_cosets(shape: _Shape, basis: list[list[int]], additive: list[int],
                 for row in rows:
                     cols = [[x + c * b for c in range(p) for x in col] if b else col * p
                             for col, b in zip(cols, row)]
-                lifts = zip(*(_laplace_lists(cols[off : off + r * r], r, q, plans[r])
-                              for r, off in blocks))
-                found = set(filter(set(range(0, q, p)).isdisjoint, set(lifts)))
+                if e > 1:  # and then the steps 1 + p^i b_j, whose dets are units
+                    cols = [col + [u + p**i * row[t] for i in range(1, e) for row in rows]
+                            for t, (col, u) in enumerate(zip(cols, identity))]
+                dets = zip(*(_laplace_lists(cols[off : off + r * r], r, q, plans[r])
+                             for r, off in blocks))
+                found = set(filter(set(range(0, q, p)).isdisjoint, set(dets)))
                 if e > 1:  # else pS_q = 0, the lifts are S_q and found is D_q
-                    near = ([(u + p**i * b) % q for u, b in zip(identity, row)]
-                            for i in range(1, e) for row in rows)
-                    steps = (tuple(_laplace(v[off : off + r * r], r, q, plans[r])
-                                   for r, off in blocks) for v in near)
-                    found = _subgroup(chain(found, steps), k, q)
+                    found = _subgroup(found, k, q)
                 count = len(found)
             met *= count
             if q > 2 and signs is None and 2**k > len(found):  # scan D_q for signs
@@ -291,16 +282,6 @@ def _prime_cosets(shape: _Shape, basis: list[list[int]], additive: list[int],
         c = met // (1 if signs is None else len(signs))
         if c == full or not probe:
             return c
-
-
-def _check_index(size: int) -> None:
-    """Refuse a subring of ``size`` elements, before any count or scan
-    starts, when an index into it would leave int64."""
-    if size >= 2**63:
-        raise ResourceLimitError(
-            f"the subring has {size} elements, past the int64 index range",
-            phase="enumeration", needed=size, cap=2**63 - 1,
-        )
 
 
 # -- public operations -------------------------------------------------------
@@ -324,8 +305,9 @@ def subring_units(S, m: int, blocks) -> FiniteGroup:
     In a finite ring an element invertible in the ambient matrix ring has
     its inverse inside the subring already (some positive power of the
     element), so the blockwise determinant test is exactly the unit test.
-    It takes det on exact Python ints, not the int64 row kernel of the
-    genus route, so that it has no int64 range and can check that route.
+    It takes every determinant of a block in one pass of the Laplace
+    expansion on Python ints, not on the int64 row kernel, so that it has
+    no int64 range and can check the genus route at any level.
     """
     from . import kernel
     return kernel._subring_units(S, m, blocks)
@@ -345,10 +327,10 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
     where sigma(m) = |{+-1}| and c is the number of cosets of {+-1}^k that
     D meets, counted by _prime_cosets.  A whole-ring subring returns 1.
     ``cap`` bounds the number of subring elements and, past the whole-ring
-    return, the r*2^(r-1) terms of the largest block's determinant; past
-    that return a subring of 2^63 elements or more is refused whatever the
-    cap, as its indices would leave int64.  Where phi(m) = sigma(m) the
-    count is 1 from there.
+    return, the r*2^(r-1) terms of the largest block's determinant.  Where
+    phi(m) = sigma(m) the count is 1 from there.  The count on Python ints
+    has no int64 limit; a factor that goes to the kernel is refused there,
+    whatever the cap, where its level, rows or lifts would leave int64.
     The last 64 answers are kept, keyed by (spec, cap) as passed; a
     ResourceLimitError is raised again on each call, never kept.
     """
@@ -366,7 +348,6 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
             f"a {r}x{r} determinant takes {terms} terms, above the cap of {cap}",
             phase="determinant", needed=terms, cap=cap,
         )
-    _check_index(size)
     factors = prime_powers(m)
     full = (prod(p ** (e - 1) * (p - 1) for p, e in factors) // sign_count(m)) ** k
     if full == 1:

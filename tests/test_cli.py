@@ -82,18 +82,19 @@ class TestSpecFileVerbs:
         assert "Traceback" not in err
 
     def test_subring_past_int64_index_is_resource_limit(self, capsys, tmp_path):
-        # e_{i,i+1} in Mat_10(Z/3), i < 9, generate 3^46 elements
-        gens = [[[int((p, q) == (i, i + 1)) for p in range(10) for q in range(10)]]
-                for i in range(9)]
+        # e_{i,i+1} in Mat_9(Z/5), i < 8, generate 5^37 elements, all of
+        # them lifts of the factor 5, which the kernel's guard refuses
+        gens = [[[int((p, q) == (i, i + 1)) for p in range(9) for q in range(9)]]
+                for i in range(8)]
         path = tmp_path / "triangular.json"
-        path.write_text(json.dumps({"m": 3, "blocks": [10], "generators": gens}))
+        path.write_text(json.dumps({"m": 5, "blocks": [9], "generators": gens}))
         status, out, err = run(capsys, "genus-order", str(path), "--cap",
                                str(10**40), "--json")
-        message = f"the subring has {3**46} elements, past the int64 index range"
+        message = f"{5**37} elements at level 5 are past the int64 range"
         assert status == 2
         assert err == f"resource limit: {message}\n"
         assert json.loads(out) == {"verb": "genus-order", "error": {
-            "message": message, "phase": "enumeration", "needed": 3**46,
+            "message": message, "phase": "enumeration", "needed": 5**37,
             "cap": 2**63 - 1, "lowerBound": False}}
 
     def test_bad_json(self, capsys, tmp_path):

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,6 +537,36 @@ class TestDeterminantLimit:
         assert gl_order(5, 2, cap=2**25) == 9999360
         assert gl_order(6, 1) == stable_image_order(6, 1) == 1
         assert len(stable_image(5, 1)) == 1
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+class TestScanPastInt64:
+    @pytest.mark.parametrize("verb", ["enumerate_gl", "stable_image"])
+    def test_refused_before_any_array(self, subprocess_env, verb):
+        # a cap of 10^20 admits the scan of the 60000^4 codes of the 2x2
+        # matrices mod 60000, which leave int64: the kernel's guard refuses
+        # it in phase scan, before any array is built, in a fresh process.
+        # Its address space is held to 1 GiB, so that an array of m^r or
+        # more entries fails at once instead of filling memory
+        script = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.RLIM_INFINITY))
+import genuskit
+from genuskit.errors import ResourceLimitError
+try:
+    genuskit.{verb}(2, 60000, cap=10**20)
+except ResourceLimitError as e:
+    assert (e.phase, e.needed, e.cap, e.lower_bound) == (
+        "scan", 60000**4, 2**63 - 1, False), vars(e)
+else:
+    raise AssertionError("not refused")
+with open("/proc/self/status") as f:
+    print(next(int(l.split()[1]) for l in f if l.startswith("VmHWM")) / 1024)
+"""
+        run = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert float(run.stdout) < 60, run.stdout
 
 
 class TestArgumentValidation:

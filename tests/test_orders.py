@@ -998,7 +998,7 @@ def units_spec(m, blocks, cells):
 
 
 # the functions of the numpy route, which genuskit.kernel defines
-KERNEL_NAMES = ("_units", "_block_dets", "_distinct_rows",
+KERNEL_NAMES = ("_units", "_check_int64", "_laplace", "_block_dets", "_distinct_rows",
                 "_combinations", "_elements", "_gl_flat", "_row_table",
                 "_right_products", "_stable_flat", "_group", "_outside",
                 "_generator", "_lattice", "_factor",
@@ -1050,7 +1050,7 @@ def unit_closure(gens, q, k):
 
 def brute_cosets(spec):
     """The cosets of {+-1}^k that det(K) meets, each as a tuple of the sets
-    {d, -d} mod m, from the Laplace expansion on Python ints over every
+    {d, -d} mod m, from the public det on Python ints over every
     element that the closure's enumerator yields, as subring_closure does;
     nothing of the genus route past the closure."""
     m = spec.m
@@ -1061,7 +1061,8 @@ def brute_cosets(spec):
     met = set()
     for chunk in kernel._elements(shape, basis, additive):
         for row in chunk.tolist():
-            d = [matrices._laplace(row[off : off + r * r], r, m) for r, off in blocks]
+            d = [matrices.det(MatModM(m, r, row[off : off + r * r])).value
+                 for r, off in blocks]
             if all(gcd(x, m) == 1 for x in d):
                 met.add(tuple(frozenset({x, -x % m}) for x in d))
     return met
@@ -1554,6 +1555,21 @@ assert "numpy" in sys.modules and "genuskit.kernel" in sys.modules
                     found.append((path.name, node in tree.body))
         assert found == [("kernel.py", True)]
 
+    def test_only_the_kernel_knows_int64(self):
+        # the literal 2**63 occurs only in genuskit.kernel, the one module
+        # that does int64 arithmetic, and neither matrices nor orders binds
+        # the int64 Laplace expansion or an index check of its own
+        found = set()
+        for path in sorted(Path(orders.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                        and isinstance(node.left, ast.Constant) and node.left.value == 2
+                        and isinstance(node.right, ast.Constant) and node.right.value == 63):
+                    found.add(path.name)
+        assert found == {"kernel.py"}
+        for module in (matrices, orders):
+            assert not hasattr(module, "_laplace") and not hasattr(module, "_check_index")
+
 
 class TestAboveOneChunk:
     def test_sweep_above_one_chunk(self, monkeypatch):
@@ -1616,11 +1632,13 @@ class TestResourceLimitFields:
         assert (e.phase, e.needed, e.cap, e.lower_bound) == ("closure", 30, 3, True)
 
     def test_level_past_int64(self):
+        # the closure runs on Python ints at any level; the factor 2^40
+        # goes to the kernel, whose guard refuses its level
         with pytest.raises(ResourceLimitError, match="int64") as info:
             genus(pullback_spec(2**40), cap=2**62)
         e = info.value
         assert (e.phase, e.needed, e.cap, e.lower_bound) == (
-            "closure", (2**40 - 1) ** 2, 2**63 - 1, False)
+            "enumeration", (2**40 - 1) ** 2, 2**63 - 1, False)
 
     def test_subring_above_cap(self):
         # refused at the insertion of e21, whose span of 7^3 elements is a
@@ -1686,15 +1704,33 @@ assert "numpy" not in sys.modules and "genuskit.kernel" not in sys.modules
                              capture_output=True, text=True, timeout=60)
         assert run.returncode == 0, run.stderr
 
+    def test_primorial_level_past_int64_squares_answers(self, subprocess_env):
+        # 29# = 6,469,693,230, whose square passes 2^63: each of its ten
+        # prime factors has one row and at most 29 lifts, counted on Python
+        # ints, which have no int64 range, so the genus is the closed form,
+        # in a fresh process that loads no numpy
+        script = """
+import sys
+from genuskit import genus, genus_pullback_formula, pullback_spec
+m = 6469693230
+assert genus(pullback_spec(m), cap=10**10).total == genus_pullback_formula(m) == 510935040
+assert "numpy" not in sys.modules and "genuskit.kernel" not in sys.modules
+"""
+        run = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+
     def test_basis_past_int64(self, monkeypatch):
         # upper triangular 2x2 at m = 2^31 - 1: products of two entries
         # stay in range, but a sum over the 3 basis rows does not, and the
-        # refusal comes before any enumeration
-        forbid(monkeypatch, "_elements", "_factor")
+        # kernel's guard refuses it at the entry of _factor and of
+        # _subring_closure, before any array is built
+        forbid(monkeypatch, "_elements", "_combinations", "_block_dets")
         m = 2**31 - 1
         spec = units_spec(m, (2,), [(0, 0, 0), (0, 0, 1)])
         for call in (genus, subring_closure):
-            with pytest.raises(ResourceLimitError, match="3 basis rows") as info:
+            with pytest.raises(ResourceLimitError, match=f"^residue products, 3 to a sum, "
+                               f"at level {m} are past the int64 range$") as info:
                 call(spec, cap=2**100)
             e = info.value
             assert (e.phase, e.needed, e.cap, e.lower_bound) == (
@@ -1702,17 +1738,19 @@ assert "numpy" not in sys.modules and "genuskit.kernel" not in sys.modules
 
     def test_subring_past_int64_index(self, monkeypatch):
         # the strictly upper triangular units e_{i,i+1} of Mat_10(Z/3)
-        # generate a subring of 3^46 elements, past int64 indices: it is
-        # refused whatever the cap, before any probe or lift scan
+        # generate a subring of 3^46 elements, past int64 indices: its genus
+        # is 1 from phi(3) = sigma(3), with nothing of the kernel, while
+        # subring_closure, which enumerates S on the kernel, refuses it
+        # whatever the cap, before any array is built
         forbid(monkeypatch, "_elements", "_factor")
         spec = units_spec(3, (10,), [(0, i, i + 1) for i in range(9)])
-        for call in (genus, subring_closure):
-            with pytest.raises(ResourceLimitError, match=f"^the subring has {3**46} "
-                               "elements, past the int64 index range$") as info:
-                call(spec, cap=10**40)
-            e = info.value
-            assert (e.phase, e.needed, e.cap, e.lower_bound) == (
-                "enumeration", 3**46, 2**63 - 1, False)
+        assert genus(spec, cap=10**40).total == 1
+        with pytest.raises(ResourceLimitError, match=f"^{3**46} elements at level 3 "
+                           "are past the int64 range$") as info:
+            subring_closure(spec, cap=10**40)
+        e = info.value
+        assert (e.phase, e.needed, e.cap, e.lower_bound) == (
+            "enumeration", 3**46, 2**63 - 1, False)
 
     def test_whole_ring_past_int64_index_has_genus_one(self, monkeypatch):
         # Mat_10(Z/3) has 3^100 elements, but the whole ring returns
