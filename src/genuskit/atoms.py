@@ -244,14 +244,10 @@ class AtomParseError(ValueError):
         self.token = token
 
 
-def _is_digits(token: str) -> bool:
-    # ASCII only: str.isdigit also accepts '²', and int() reads '٣' as 3
-    return token.isascii() and token.isdigit()
-
-
 def _parse_int(text: str, start: int, end: int, what: str) -> int:
     token = text[start:end]
-    if not _is_digits(token):
+    # ASCII only: str.isdigit also accepts '²', and int() reads '٣' as 3
+    if not (token.isascii() and token.isdigit()):
         raise AtomParseError(f"expected {what}", start, token or "<end>")
     if token[0] == "0" and len(token) > 1:
         # format_atom writes no leading zero, so such a name would not round-trip
@@ -261,69 +257,68 @@ def _parse_int(text: str, start: int, end: int, what: str) -> int:
 
 def _split_call(text: str, head: str) -> tuple[str, int, int]:
     """Split '<head>(<inner>)@<n>' into (inner, inner offset, n)."""
-    if len(text) < 2 or text[1] != "(":
-        raise AtomParseError(
-            f"expected '(' after {head!r}", 1, text[1:2] or "<end>"
-        )
+    if text[1:2] != "(":
+        raise AtomParseError(f"expected '(' after {head!r}", 1, text[1:2] or "<end>")
     close = text.find(")", 2)
     if close < 0:
         raise AtomParseError("missing ')'", len(text), "<end>")
-    if close + 1 >= len(text) or text[close + 1] != "@":
-        raise AtomParseError(
-            "expected '@' after ')'", close + 1, text[close + 1 : close + 2] or "<end>"
-        )
+    if text[close + 1 : close + 2] != "@":
+        raise AtomParseError("expected '@' after ')'", close + 1,
+                             text[close + 1 : close + 2] or "<end>")
     n = _parse_int(text, close + 2, len(text), "a top dimension")
     return text[2:close], 2, n
 
 
-def _parse_power(text: str, token: str, offset: int) -> int:
-    if not token.startswith("2^"):
-        raise AtomParseError("expected a power token '2^<k>'", offset, token)
-    return _parse_int(text, offset + 2, offset + len(token), "digits after '2^'")
+def _grammar() -> dict[str, dict[int | None, list[tuple[AtomKind, tuple, tuple]]]]:
+    """The kinds of each head letter by their number of body tokens (None
+    for S{n}), in _KINDS order, with their template's body, a (prefix,
+    field) pair per token between '(' and ')@', field None for a literal,
+    and the (index, token) of each literal."""
+    grammar = {}
+    for kind, row in _KINDS.items():
+        head, rest = row.template[0], row.template[1:]
+        tokens = rest[1:rest.index(")@")].split(".") if rest[0] == "(" else []
+        body = tuple((prefix, field[:-1] or None)
+                     for prefix, _, field in (tok.partition("{") for tok in tokens))
+        literals = tuple((i, prefix) for i, (prefix, field) in enumerate(body) if not field)
+        grammar.setdefault(head, {}).setdefault(len(body) or None, []).append(
+            (kind, body, literals))
+    return grammar
+
+
+_GRAMMAR = _grammar()
 
 
 def parse_atom(text: str) -> Atom:
-    """Parse an atom name; raises AtomParseError naming token and position."""
+    """Parse an atom name by the first kind in _KINDS whose template fits
+    it; raises AtomParseError naming token and position."""
     s = text.strip()
     if not s:
         raise AtomParseError("empty atom name", 0, "<end>")
     head = s[0]
-    if head == "S":
-        n = _parse_int(s, 1, len(s), "digits after 'S'")
-        return sphere(n)
-    if head == "M":
-        inner, off, n = _split_call(s, "M")
-        a = _parse_int(s, off, off + len(inner), "an integer multiplicity")
-        return moore(a, top_dim=n)
-    if head == "A":
-        inner, off, n = _split_call(s, "A")
-        v = _parse_int(s, off, off + len(inner), "an integer parameter v")
-        return atom_a(v, top_dim=n)
-    if head == "C":
-        inner, off, n = _split_call(s, "C")
-        tokens = inner.split(".")
-        offsets = []
-        pos = off
-        for tok in tokens:
-            offsets.append(pos)
-            pos += len(tok) + 1
-        if tokens == ["eta"]:
-            return chang_eta(top_dim=n)
-        if tokens == ["eta2"]:
-            return chang_eta_sq(top_dim=n)
-        if len(tokens) == 2 and tokens[1] == "eta":
-            return chang_r_eta(_parse_power(s, tokens[0], offsets[0]), top_dim=n)
-        if len(tokens) == 2 and tokens[0] == "eta":
-            return chang_eta_s(_parse_power(s, tokens[1], offsets[1]), top_dim=n)
-        if len(tokens) == 3 and tokens[1] == "eta":
-            r = _parse_power(s, tokens[0], offsets[0])
-            sp = _parse_power(s, tokens[2], offsets[2])
-            return chang_full(r, sp, top_dim=n)
-        for tok, tok_off in zip(tokens, offsets):
-            if tok != "eta" and not (tok.startswith("2^") and _is_digits(tok[2:])):
-                raise AtomParseError("unrecognized token in Chang atom body", tok_off, tok)
-        raise AtomParseError("unrecognized Chang atom body", off, inner)
-    raise AtomParseError("unknown atom kind", 0, head)
+    by_count = _GRAMMAR.get(head)
+    if by_count is None:
+        raise AtomParseError("unknown atom kind", 0, head)
+    if None in by_count:
+        return Atom(by_count[None][0][0], _parse_int(s, 1, len(s), "a top dimension"))
+    inner, off, n = _split_call(s, head)
+    tokens = inner.split(".")
+    for kind, body, literals in by_count.get(len(tokens), ()):
+        for i, literal in literals:
+            if tokens[i] != literal:
+                break
+        else:
+            break
+    else:
+        raise AtomParseError(f"unrecognized {head}(...) body", off, inner or "<end>")
+    values = {}
+    for tok, (prefix, field) in zip(tokens, body):
+        if field:
+            if prefix and not tok.startswith(prefix):
+                raise AtomParseError(f"expected a token '{prefix}<{field}>'", off, tok)
+            values[field] = _parse_int(s, off + len(prefix), off + len(tok), "an integer")
+        off += len(tok) + 1
+    return Atom(kind, n, **values)
 
 
 def format_atom(atom: Atom) -> str:

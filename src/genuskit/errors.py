@@ -8,10 +8,11 @@ class ResourceLimitError(RuntimeError):
 
     ``phase`` names the refused step (``"closure"``, ``"enumeration"``,
     ``"determinant"``, ``"scan"`` or ``"factorization"``), ``needed`` the size
-    it would have reached and ``cap`` the limit that size is above.  When
-    ``lower_bound`` is true, ``needed`` is only a lower bound on that size:
-    the step was refused before the size itself was known, as a subring
-    closure is as soon as its span passes the cap.
+    it would have reached and ``cap`` the limit that size is above; only
+    :mod:`genuskit.matrices` raises ``"determinant"``, for a Laplace plan.
+    When ``lower_bound`` is true, ``needed`` is only a lower bound on that
+    size: the step was refused before the size itself was known, as a
+    subring closure is as soon as its span passes the cap.
     """
 
     def __init__(self, message: str, *, phase: str | None = None,

@@ -1,11 +1,11 @@
 """Square matrices over Z/m: products, determinants, GL(r, Z/m) and the
 subgroup generated by elementary matrices (the mod-m image of the global
 unit group of the integer matrix ring), and the orders of both in closed
-form.  Determinants of every size take one division-free Laplace
-expansion, on Python ints here, exact at any level, and on the int64
-columns of the row kernel, :mod:`genuskit.kernel`.  The enumerations of the
-two groups run on that kernel, which they import on their first call, so
-a process that never enumerates a group loads neither it nor numpy here.
+form.  Determinants of every size the cap admits, a bound kept here alone,
+take one division-free Laplace expansion, on Python ints here, exact at any
+level, and on the int64 columns of the row kernel, :mod:`genuskit.kernel`.
+The group enumerations run on that kernel, which they import on their first
+call, so a process that never enumerates a group loads neither it nor numpy.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from .rings import Residue, prime_powers, sign_count, totient
 # number of candidate matrices scanned and of entries in the visited map;
 # gl_order and stable_image_order use closed forms but check the same bound.
 # For orders.genus and orders.subring_closure it bounds |S|, the number of
-# subring elements, and hence m, since the subring holds all m scalars.  The
-# subring is held as a basis, so |S| is exact before any element exists; the
-# cap is checked each time the basis grows, and the genus route scans only
-# lifts of S/pS, a chunk at a time.
+# subring elements, and hence m, since the subring holds all m scalars: |S|
+# is exact before any element exists, as the subring is held as a basis,
+# checked each time it grows.  For every Laplace plan, det's included, it
+# bounds the r*2^(r-1) terms of the largest block.
 DEFAULT_CAP = 2_000_000
 
 
@@ -162,8 +162,14 @@ def _laplace_plan(r: int) -> tuple:
     return plan
 
 
-def _laplace_plans(blocks) -> dict[int, tuple]:
-    """The _laplace_plan of each block size, for the queries that pass one."""
+def _laplace_plans(blocks, cap: int = DEFAULT_CAP) -> dict[int, tuple]:
+    """The _laplace_plan of each block size, for every caller: a largest
+    block of more than ``cap`` terms is refused before any plan is built."""
+    r = max(blocks)
+    terms = r * 2 ** (r - 1)
+    if terms > cap:
+        raise ResourceLimitError(f"a {r}x{r} determinant takes {terms} terms, above the cap "
+                                 f"of {cap}", phase="determinant", needed=terms, cap=cap)
     return {r: _laplace_plan(r) for r in blocks}
 
 
@@ -191,9 +197,9 @@ def _laplace_lists(x: list[list[int]], r: int, m: int, plan: tuple) -> list[int]
 
 
 def det(a: MatModM) -> Residue:
-    """Determinant by Laplace expansion on Python ints, exact at any size."""
-    x = [[e] for e in a.entries]
-    return Residue(_laplace_lists(x, a.size, a.modulus, _laplace_plan(a.size))[0], a.modulus)
+    """Determinant by Laplace expansion on Python ints, of any size the cap admits."""
+    x, r = [[e] for e in a.entries], a.size
+    return Residue(_laplace_lists(x, r, a.modulus, _laplace_plans((r,))[r])[0], a.modulus)
 
 
 def elementary_generators(r: int, m: int) -> list[MatModM]:

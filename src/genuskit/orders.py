@@ -21,12 +21,12 @@ therefore normal in U with abelian quotient, and
 for k blocks, sigma(m) = |{+-1}| and c the number of cosets of {+-1}^k that
 det(K) meets.  The subring S is held as a Howell basis over Z/m, built on
 Python ints at every size, so |S| is exact before any element exists, and
-that size is the only size limit: the closure refuses S as soon as its span
-passes the cap.  A whole ring and a level with phi(m) = sigma(m) have genus
-1 without a count of c.  Otherwise c is counted one prime power of m at a
-time, from lifts of S/pS, on Python ints where they and S fit one chunk,
-and by the numpy row kernel of :mod:`genuskit.kernel` where they do not,
-which alone checks the int64 range: the count here has none.  That module
+the closure refuses S as soon as its span passes the cap.  A whole ring and
+a level with phi(m) = sigma(m) have genus 1 without a count of c.  Otherwise
+c is counted one prime power of m at a time, from lifts of S/pS, by Laplace
+plans that matrices alone bounds, on Python ints where they and S fit one
+chunk, and by the numpy row kernel of :mod:`genuskit.kernel` where they do
+not, which alone checks the int64 range: the count here has none.  That module
 also holds the bodies of the oracle builders subring_closure and
 subring_units, and is imported, with numpy, only when one of them first
 runs.  The generic engine in :mod:`genuskit.cosets` is the test oracle
@@ -234,7 +234,7 @@ def _subgroup(gens, k: int, q: int) -> set[tuple[int, ...]]:
 
 
 def _prime_cosets(shape: _Shape, basis: list[list[int]], additive: list[int],
-                  factors: list[tuple[int, int]], full: int) -> int:
+                  factors: list[tuple[int, int]], full: int, cap: int) -> int:
     """c, the number of cosets of {+-1}^k that det(K) meets, counted one
     prime power q = p^e of ``factors`` at a time, from the lifts of S_q/pS_q
     and the generators det(1 + p^i b_j) of det(1 + pS_q), as prod_q |D_q|
@@ -243,12 +243,14 @@ def _prime_cosets(shape: _Shape, basis: list[list[int]], additive: list[int],
     on Python ints, its lifts and steps as one pass of _laplace_lists per
     block, and any other by kernel._factor, which gives |D_q| and the sign
     tuples in D_q, all that the join reads; the kernel's probes come first
-    where |S| passes one chunk and |S| >= |Q| = ``full``.  A sign tuple is
-    kept as its entries' truth of s_i == 1, the same for every q > 2; mod 2
-    every sign is 1, which lies in D_2."""
+    where |S| passes one chunk and |S| >= |Q| = ``full``.  The plans come
+    first, from matrices._laplace_plans, which refuses a block of more than
+    ``cap`` terms before any factor.  A sign tuple is kept as its entries'
+    truth of s_i == 1, the same for every q > 2; mod 2 every sign is 1,
+    which lies in D_2."""
     blocks, k = list(zip(shape.blocks, shape.offsets)), len(shape.blocks)
     identity = [int(i == j) for r in shape.blocks for i in range(r) for j in range(r)]
-    plans = matrices._laplace_plans(shape.blocks)  # once per query, for every factor
+    plans = matrices._laplace_plans(shape.blocks, cap)  # once per query, for every factor
     size = prod(additive)
     for probe in (True, False) if size > matrices._CHUNK and size >= full else (False,):
         met, signs = 1, None
@@ -325,14 +327,15 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
         count = [((Z/m)^x)^k : D*{+-1}^k] = (phi(m)/sigma(m))^k / c
 
     where sigma(m) = |{+-1}| and c is the number of cosets of {+-1}^k that
-    D meets, counted by _prime_cosets.  A whole-ring subring returns 1.
-    ``cap`` bounds the number of subring elements and, past the whole-ring
-    return, the r*2^(r-1) terms of the largest block's determinant.  Where
-    phi(m) = sigma(m) the count is 1 from there.  The count on Python ints
-    has no int64 limit; a factor that goes to the kernel is refused there,
-    whatever the cap, where its level, rows or lifts would leave int64.
-    The last 64 answers are kept, keyed by (spec, cap) as passed; a
-    ResourceLimitError is raised again on each call, never kept.
+    D meets, counted by _prime_cosets.  A whole-ring subring returns 1,
+    and so does a level where phi(m) = sigma(m).  ``cap`` bounds the number
+    of subring elements and, past those two returns, the terms of the
+    largest block's determinant, which matrices._laplace_plans refuses
+    before it builds a plan.  The count on Python ints has no int64 limit;
+    a factor that goes to the kernel is refused there, whatever the cap,
+    where its level, rows or lifts would leave int64.  The last 64 answers
+    are kept, keyed by (spec, cap) as passed; a ResourceLimitError is
+    raised again on each call, never kept.
     """
     k = len(spec.blocks)
     m = spec.m
@@ -341,18 +344,11 @@ def genus_relative(spec: OrderSpec, cap: int = DEFAULT_CAP) -> int:
     size = prod(additive)
     if size == m**shape.width:
         return 1  # the whole ring: det maps its units onto ((Z/m)^x)^k
-    r = max(spec.blocks)
-    terms = r * 2 ** (r - 1)  # of the Laplace expansion of one r x r determinant
-    if terms > cap:
-        raise ResourceLimitError(
-            f"a {r}x{r} determinant takes {terms} terms, above the cap of {cap}",
-            phase="determinant", needed=terms, cap=cap,
-        )
     factors = prime_powers(m)
     full = (prod(p ** (e - 1) * (p - 1) for p, e in factors) // sign_count(m)) ** k
     if full == 1:
         return 1  # phi(m) = sigma(m): every unit is a sign, and Q is trivial
-    return full // _prime_cosets(shape, basis, additive, factors, full)
+    return full // _prime_cosets(shape, basis, additive, factors, full, cap)
 
 
 def genus(spec: OrderSpec, cap: int = DEFAULT_CAP) -> GenusResult:

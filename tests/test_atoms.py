@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from genuskit.atoms import (
     Atom,
@@ -329,3 +331,44 @@ class TestGrammar:
             parse_atom("A(13)@10")
         with pytest.raises(ValueError):
             parse_atom("M(1)@4")
+
+
+@st.composite
+def atoms(draw):
+    """An atom of any kind, with parameters from their least value up to
+    10^6 (v up to 12) and a top dimension up to 10^4."""
+    kind = draw(st.sampled_from(list(AtomKind)))
+    row = _KINDS[kind]
+    most = 12 if kind is AtomKind.ATOM_A else 10**6
+    params = {field: draw(st.integers(row.least, most)) for field in row.params}
+    return Atom(kind, draw(st.integers(row.min_top_dim, 10**4)), **params)
+
+
+# the characters a corrupted name gains, inserted or in place of another
+NOISE = "().@^2x"
+
+
+class TestGrammarProperties:
+    @seed(30)
+    @given(atom=atoms())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_inverts_format(self, atom):
+        assert parse_atom(format_atom(atom)) == atom
+
+    @seed(31)
+    @given(atom=atoms(), how=st.sampled_from(["delete", "insert", "replace"]),
+           spot=st.integers(0, 10**6), char=st.sampled_from(NOISE))
+    @settings(max_examples=600, deadline=None)
+    def test_corrupted_names_parse_or_name_their_token(self, atom, how, spot, char):
+        # a name one character off either parses or raises ValueError, and
+        # a parse error points into the name at the token it names
+        name = format_atom(atom)
+        i = spot % (len(name) + (how == "insert"))
+        name = name[:i] + (char if how != "delete" else "") + name[i + (how != "insert"):]
+        try:
+            parse_atom(name)
+        except AtomParseError as err:
+            assert 0 <= err.position <= len(name), (name, err)
+            assert err.token == "<end>" or name.startswith(err.token, err.position), (name, err)
+        except ValueError:
+            pass

@@ -118,7 +118,7 @@ class TestDet:
         assert det(MatModM.from_rows([[1, 1], [0, 1]], 6)) == Residue(1, 6)
 
     def test_size_cap(self):
-        # every size takes the same expansion, with no size cap
+        # every size the cap admits takes the same expansion
         rng = random.Random(6)
         assert det(MatModM.identity(5, 3)) == Residue(1, 3)
         for r, m in [(5, 12), (6, 9), (6, 2**30)]:
@@ -567,6 +567,52 @@ with open("/proc/self/status") as f:
                              capture_output=True, text=True, timeout=60)
         assert run.returncode == 0, run.stderr
         assert float(run.stdout) < 60, run.stdout
+
+
+class TestLaplaceCap:
+    # every Laplace plan is taken through matrices._laplace_plans, which
+    # refuses a largest block of more than cap = 2,000,000 terms,
+    # r * 2^(r-1), before any plan is built: 26 * 2^25 for a 26x26 matrix
+    def test_det_is_refused_before_any_plan(self, monkeypatch):
+        def fail(r):
+            raise AssertionError(f"a {r}x{r} plan was built")
+
+        monkeypatch.setattr(matrices, "_laplace_plan", fail)
+        with pytest.raises(ResourceLimitError, match="^a 26x26 determinant takes "
+                           "872415232 terms, above the cap of 2000000$") as info:
+            det(MatModM.identity(26, 5))
+        e = info.value
+        assert (e.phase, e.needed, e.cap, e.lower_bound) == (
+            "determinant", 872_415_232, 2_000_000, False)
+
+    @pytest.mark.parametrize("call", ["det(a)", "a.det()", "subring_units(S, 5, (26,))"])
+    def test_refused_fast_in_little_memory(self, subprocess_env, call):
+        # in a fresh process whose address space is held to 1 GiB, so that
+        # building the plan would fail with a MemoryError instead of filling
+        # memory; S is the scalar subring of Mat_26(Z/5).  The kernel, which
+        # subring_units imports with numpy, is imported before the clock
+        script = f"""
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.RLIM_INFINITY))
+import genuskit.kernel
+from genuskit.errors import ResourceLimitError
+from genuskit.matrices import MatModM, det
+from genuskit.orders import subring_units
+a = MatModM.identity(26, 5)
+S = {{(MatModM(5, 26, [c * x for x in a.entries]),) for c in range(5)}}
+start = time.perf_counter()
+try:
+    {call}
+except ResourceLimitError as e:
+    assert (e.phase, e.needed, e.cap) == ("determinant", 26 * 2**25, 2_000_000), vars(e)
+else:
+    raise AssertionError("not refused")
+print(time.perf_counter() - start)
+"""
+        run = subprocess.run([sys.executable, "-c", script], env=subprocess_env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert float(run.stdout) < 0.5, run.stdout
 
 
 class TestArgumentValidation:

@@ -1285,7 +1285,7 @@ class TestShortcuts:
                 with monkeypatch.context() as patch:
                     calls = spy(patch, "_factor")
                     counts.append(orders._prime_cosets(shape, basis, additive, factors,
-                                                       prod(additive) + 1))
+                                                       prod(additive) + 1, 10**6))
                     assert bool(calls) == (chunk == 4)
                     assert not any(args[4] for args in calls)
             assert counts == [len(brute_cosets(spec))] * 2, spec
@@ -1481,14 +1481,21 @@ class TestPrimeRoute:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
     def test_levels_with_one_unit_coset_have_genus_one(self, monkeypatch, m):
         # phi(m) = sigma(m): Q is trivial, and the count is 1 with neither
-        # route, once the closure and the determinant terms are within the
-        # cap; no determinant is planned, not even of a 16x16 block
+        # route, once the closure is within the cap; no determinant is
+        # planned, not even of a 16x16 block
         forbid(monkeypatch, "_prime_cosets", "_factor", "_elements")
         forbid(monkeypatch, "_laplace_plan", module=matrices)
         rng = random.Random(m)
         for blocks in [(16,), (1, 1), (2,), (1, 2), (3,)]:
             spec = random_spec(rng, m, blocks, n_gens=rng.randint(0, 2))
             assert genus(spec).total == 1, spec
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6])
+    def test_levels_with_one_unit_coset_answer_any_block_size(self, monkeypatch, m):
+        # the 40 * 2^39 terms of a 40x40 determinant are far past the cap,
+        # but where phi(m) = sigma(m) no determinant is planned at all
+        forbid(monkeypatch, "_laplace_plan", module=matrices)
+        assert genus(OrderSpec(m=m, blocks=(40,), generators=())).total == 1
 
     def test_one_chunk_queries_import_no_numpy(self, subprocess_env, tmp_path):
         # the test modules import numpy themselves, so the queries run in a
@@ -1569,6 +1576,21 @@ assert "numpy" in sys.modules and "genuskit.kernel" in sys.modules
         assert found == {"kernel.py"}
         for module in (matrices, orders):
             assert not hasattr(module, "_laplace") and not hasattr(module, "_check_index")
+
+    def test_only_matrices_knows_the_laplace_term_bound(self):
+        # the term count r * 2^(r-1) of a Laplace plan is written only in
+        # genuskit.matrices, which builds every plan, and only that module
+        # raises the refusal of phase "determinant"
+        counts, refusals = set(), set()
+        for path in sorted(Path(orders.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.BinOp) and ast.unparse(node) == "2 ** (r - 1)":
+                    counts.add(path.name)
+                if (isinstance(node, ast.Call) and ast.unparse(node.func) == "ResourceLimitError"
+                        and any(kw.arg == "phase" and isinstance(kw.value, ast.Constant)
+                                and kw.value.value == "determinant" for kw in node.keywords)):
+                    refusals.add(path.name)
+        assert counts == refusals == {"matrices.py"}
 
 
 class TestAboveOneChunk:
@@ -1772,28 +1794,31 @@ assert "numpy" not in sys.modules and "genuskit.kernel" not in sys.modules
             assert genus(spec).total == total, spec
 
     def test_determinant_terms_above_cap(self):
-        # an 8x8 determinant takes 8 * 2^7 = 1024 Laplace terms
-        spec = OrderSpec(m=3, blocks=(8,), generators=())
+        # an 8x8 determinant takes 8 * 2^7 = 1024 Laplace terms; the
+        # scalars of Mat_8(Z/5) all have determinant a^8 = 1, so the genus
+        # is phi(5)/2 = 2 where the cap admits the plan
+        spec = OrderSpec(m=5, blocks=(8,), generators=())
         with pytest.raises(ResourceLimitError, match="^a 8x8 determinant takes "
                            "1024 terms, above the cap of 1023$") as info:
             genus(spec, cap=1023)
         e = info.value
         assert (e.phase, e.needed, e.cap, e.lower_bound) == ("determinant", 1024, 1023, False)
-        assert genus(spec, cap=1024).total == 1
+        assert genus(spec, cap=1024).total == 2
 
     def test_huge_block_fails_fast(self, monkeypatch):
         # the refusal comes before any determinant is planned or taken
         forbid(monkeypatch, "_factor")
+        forbid(monkeypatch, "_laplace_plan", module=matrices)
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError) as info:
-            genus(OrderSpec(m=3, blocks=(40,), generators=()))
+            genus(OrderSpec(m=5, blocks=(40,), generators=()))
         assert time.perf_counter() - start < 1.0
         assert (info.value.phase, info.value.needed) == ("determinant", 40 * 2**39)
 
     def test_huge_block_is_refused_in_little_memory(self):
         # the Howell basis holds a row only for each pivot column, so the
         # 3600 columns of a 60x60 block do not make 3600 rows of 3600
-        spec = OrderSpec(m=3, blocks=(60,), generators=())
+        spec = OrderSpec(m=5, blocks=(60,), generators=())
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError) as info:
